@@ -9,6 +9,7 @@ incipient transaction actualizes in a trial.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -18,6 +19,10 @@ from .quantum import StateVector
 
 # Weight-completeness tolerance for strategy preconditions.
 COVERAGE_ATOL = 1e-9
+
+# Probability slivers below this are float rounding, not physics; they are
+# folded into the neighbouring interval instead of becoming branches.
+RESIDUAL_SNAP = 1e-9
 
 # Reserved outcome labels.  "none" marks a trial where no transaction formed;
 # "degenerate" marks an interval ordering the hierarchy strategy cannot break.
@@ -152,31 +157,24 @@ def form_incipient(
     return IncipientTransaction(cw.channel, cw.absorber, weight, interval2, absorption)
 
 
-def _total_weight(transactions: Sequence[IncipientTransaction]) -> float:
-    return math.fsum(t.weight for t in transactions)
+def confirm(
+    emission: SpacetimePoint,
+    basis: StateVector,
+    responders: Iterable[tuple[str, str, SpacetimePoint]],
+) -> list[IncipientTransaction]:
+    """Pair one offer wave over ``basis`` with each responder's confirmation.
 
-
-def _pick(transactions: Sequence[IncipientTransaction], scale: float, u: float) -> IncipientTransaction:
-    # Inverse-CDF walk; the last entry absorbs any rounding slack at u -> 1.
-    acc = 0.0
-    for tx in transactions[:-1]:
-        acc += tx.weight / scale
-        if u < acc:
-            return tx
-    return transactions[-1]
-
-
-def resolve_global(
-    transactions: Sequence[IncipientTransaction], rng
-) -> IncipientTransaction:
-    """Sample one winner from a complete competition in a single echo round.
-
-    Requires the candidate weights to sum to 1: the strategy has no account
-    of leftover probability mass.
+    ``responders`` are (absorber, channel, absorption point) triples, one per
+    channel.  Candidates come back in basis order; a zero-amplitude channel
+    carries no offer, so its absorber forms no candidate.
     """
-    if not transactions or abs(_total_weight(transactions) - 1.0) > COVERAGE_ATOL:
-        raise StrategyError("GlobalEcho requires complete absorber coverage")
-    return _pick(transactions, 1.0, rng.random())
+    by_channel = {ch: (aid, at) for aid, ch, at in responders}
+    ow = OfferWave.from_mapping(emission, basis, {ch: aid for ch, (aid, _) in by_channel.items()})
+    return [
+        form_incipient(ow, respond(ow, *by_channel[ch]))
+        for ch, amp in zip(basis.labels, basis.amps)
+        if ch in by_channel and amp != 0
+    ]
 
 
 def sort_by_interval(
@@ -199,6 +197,76 @@ def sort_by_interval(
     return ordered
 
 
+def split_unit(weights: Sequence[float], mass: float = 1.0) -> tuple[tuple[float, ...], float]:
+    """Cut points giving consecutive slices of [0, 1) widths w_i / mass.
+
+    Each point is an exact prefix sum divided by ``mass``, so rounding never
+    accumulates along the list.  Returns (points, residual): the slice past
+    the last weight gets its own cut when it is wider than ``RESIDUAL_SNAP``;
+    a narrower sliver is rounding, and the last weight's slice runs to 1.
+    """
+    cum = [math.fsum(weights[: i + 1]) / mass for i in range(len(weights))]
+    residual = 1.0 - (cum[-1] if cum else 0.0)
+    if residual > RESIDUAL_SNAP:
+        return tuple(cum), residual
+    return tuple(cum[:-1]), 0.0
+
+
+def cuts(
+    strategy: ResolutionStrategy | str,
+    candidates: Sequence[IncipientTransaction],
+    burned_mass: float = 0.0,
+    tie_break: bool = True,
+) -> tuple[tuple[IncipientTransaction, ...], tuple[float, ...], float] | str:
+    """The one rule by which every strategy splits [0, 1) among candidates.
+
+    Returns (ordered, points, residual): ``ordered[i]`` owns the slice of
+    [0, 1) ending at ``points[i]`` (see :func:`split_unit`), and a draw past
+    the last candidate's slice forms no transaction.  Global echo and
+    hierarchy need the candidates to cover the unit mass; hierarchy ranks
+    them nearest interval first, or returns ``DEGENERATE`` when that order is
+    undefined.  Sequential resolution splits the mass m = 1 - ``burned_mass``
+    not yet burned by earlier failures: candidate i wins with weight w_i / m.
+    """
+    strategy = ResolutionStrategy(strategy)
+    total = math.fsum(tx.weight for tx in candidates)
+    mass = 1.0
+    ordered: Sequence[IncipientTransaction] | str = candidates
+    if strategy is ResolutionStrategy.SEQUENTIAL:
+        mass = 1.0 - burned_mass
+        if mass <= COVERAGE_ATOL:
+            raise StrategyError("probability mass exhausted")
+        if total - mass > COVERAGE_ATOL:
+            raise StrategyError("present weight exceeds the remaining probability mass")
+    elif not candidates or abs(total - 1.0) > COVERAGE_ATOL:
+        if strategy is ResolutionStrategy.GLOBAL_ECHO:
+            raise StrategyError("GlobalEcho requires complete absorber coverage")
+        raise StrategyError("hierarchy requires complete absorber coverage")
+    elif strategy is ResolutionStrategy.HIERARCHY:
+        ordered = sort_by_interval(candidates, tie_break)
+        if ordered == DEGENERATE:
+            return DEGENERATE
+    points, residual = split_unit([tx.weight for tx in ordered], mass)
+    return tuple(ordered), points, residual
+
+
+def _pick(split, u: float) -> IncipientTransaction | None:
+    ordered, points, _residual = split
+    i = bisect.bisect_right(points, u)
+    return ordered[i] if i < len(ordered) else None
+
+
+def resolve_global(
+    transactions: Sequence[IncipientTransaction], rng
+) -> IncipientTransaction:
+    """Sample one winner from a complete competition in a single echo round.
+
+    Requires the candidate weights to sum to 1: the strategy has no account
+    of leftover probability mass.
+    """
+    return _pick(cuts(ResolutionStrategy.GLOBAL_ECHO, transactions), rng.random())
+
+
 def resolve_hierarchy(
     transactions: Sequence[IncipientTransaction], rng, tie_break: bool = True
 ) -> IncipientTransaction | str:
@@ -209,12 +277,8 @@ def resolve_hierarchy(
     ``DEGENERATE`` when the interval ordering is undefined (all-photon
     layouts: every squared interval is zero).
     """
-    if not transactions or abs(_total_weight(transactions) - 1.0) > COVERAGE_ATOL:
-        raise StrategyError("hierarchy requires complete absorber coverage")
-    ordered = sort_by_interval(transactions, tie_break)
-    if ordered == DEGENERATE:
-        return DEGENERATE
-    return _pick(ordered, 1.0, rng.random())
+    split = cuts(ResolutionStrategy.HIERARCHY, transactions, tie_break=tie_break)
+    return DEGENERATE if split == DEGENERATE else _pick(split, rng.random())
 
 
 def resolve_step(
@@ -227,19 +291,7 @@ def resolve_step(
     transaction forms yet (``None``).  Placing a late absorber that holds
     all remaining mass therefore makes its success certain.
     """
-    m = 1.0 - resolved_failed_mass
-    if m <= COVERAGE_ATOL:
-        raise StrategyError("probability mass exhausted")
-    total = _total_weight(present)
-    if total - m > COVERAGE_ATOL:
-        raise StrategyError("present weight exceeds the remaining probability mass")
-    u = rng.random()
-    acc = 0.0
-    for tx in present:
-        acc += tx.weight / m
-        if u < acc:
-            return tx
-    return None
+    return _pick(cuts(ResolutionStrategy.SEQUENTIAL, present, resolved_failed_mass), rng.random())
 
 
 class EventKind(str, enum.Enum):
@@ -332,14 +384,10 @@ def trigger_satisfied(trigger: Trigger, events: Sequence[LedgerEvent]) -> bool:
     """Is the trigger's condition on the record (strictly earlier events)?"""
     if isinstance(trigger, Always):
         return True
-    if isinstance(trigger, TransactionFailed):
+    if isinstance(trigger, (TransactionFailed, TransactionSucceeded)):
+        kind = EventKind.FAILURE if isinstance(trigger, TransactionFailed) else EventKind.SUCCESS
         return any(
-            e.kind is EventKind.FAILURE and e.absorber == trigger.absorber and e.time == trigger.time
-            for e in events
-        )
-    if isinstance(trigger, TransactionSucceeded):
-        return any(
-            e.kind is EventKind.SUCCESS and e.absorber == trigger.absorber and e.time == trigger.time
+            e.kind is kind and e.absorber == trigger.absorber and e.time == trigger.time
             for e in events
         )
     if isinstance(trigger, CoinOutcome):
@@ -404,3 +452,9 @@ def check_bilking(ledger: TrialLedger, triggers: Sequence[Trigger] = ()) -> list
             violations.append(f"failure-without-cw:{e.absorber}")
 
     return violations
+
+
+def is_mismatch(violation: str) -> bool:
+    """Does a :func:`check_bilking` violation say the recorded outcome or
+    emitter state disagrees with the record (rather than a bilking breach)?"""
+    return violation.startswith(("outcome-mismatch", "emitter-state-mismatch"))

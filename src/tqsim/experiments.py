@@ -25,6 +25,7 @@ from .engine import (
     TransactionSucceeded,
     Trigger,
     TrialLedger,
+    confirm,
 )
 from .quantum import StateVector, normalize
 
@@ -86,17 +87,13 @@ class ContingencyRule:
 class CoinConfig:
     """Independent classical coin flipped mid-run.
 
-    ``on`` links coin labels to rule indices: the linked rule arms only when
-    the coin lands on that label.
+    A rule whose trigger is ``CoinOutcome(label)`` arms only when the coin
+    lands on that label.
     """
 
     labels: tuple[str, ...]
     weights: tuple[float, ...]
     flip_time: float
-    on: tuple[tuple[str, int], ...] = ()
-
-    def rule_for(self, label: str) -> int | None:
-        return dict(self.on).get(label)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,22 +130,28 @@ class ScreenModel:
         return tuple(f"bin{k:03d}" for k in range(self.bins))
 
 
-def screen_amplitudes(model: ScreenModel, state: StateVector) -> StateVector:
-    """Re-express a two-channel state in the screen's bin basis.
-
-    Each bin amplitude sums the channel amplitudes propagated over their
-    path lengths, amp_b = sum_s psi_s * exp(2*pi*i * r_s / wavelength), with
-    the first channel leaving the +d/2 slit and the second the -d/2 slit;
-    the result is normalized over bins.
-    """
+def _slit_terms(model: ScreenModel, state: StateVector) -> list[np.ndarray]:
+    """Each channel's amplitude propagated over its path to every bin center,
+    psi_s * exp(2*pi*i * r_s / wavelength), with the first channel leaving
+    the +d/2 slit and the second the -d/2 slit."""
     if len(state.labels) != 2:
         raise ValueError("screen model needs a two-channel state")
     centers = model.bin_centers()
     slit_x = (model.slit_separation / 2.0, -model.slit_separation / 2.0)
-    amps = np.zeros(model.bins, dtype=complex)
-    for label, sx in zip(state.labels, slit_x):
-        r = np.hypot(model.distance, centers - sx)
-        amps += state.amp(label) * np.exp(2j * math.pi * r / model.wavelength)
+    return [
+        state.amp(label)
+        * np.exp(2j * math.pi * np.hypot(model.distance, centers - sx) / model.wavelength)
+        for label, sx in zip(state.labels, slit_x)
+    ]
+
+
+def screen_amplitudes(model: ScreenModel, state: StateVector) -> StateVector:
+    """Re-express a two-channel state in the screen's bin basis.
+
+    Each bin amplitude sums the channel amplitudes propagated over their
+    path lengths; the result is normalized over bins.
+    """
+    amps = sum(_slit_terms(model, state))
     return normalize(StateVector(model.bin_labels(), tuple(map(complex, amps))))
 
 
@@ -165,14 +168,7 @@ def screen_distribution(
     if mode == INTERFERENCE:
         probs = np.abs(np.array(screen_amplitudes(model, state).amps)) ** 2
     elif mode == WHICH_SLIT:
-        if len(state.labels) != 2:
-            raise ValueError("screen model needs a two-channel state")
-        centers = model.bin_centers()
-        slit_x = (model.slit_separation / 2.0, -model.slit_separation / 2.0)
-        probs = np.zeros(model.bins)
-        for label, sx in zip(state.labels, slit_x):
-            r = np.hypot(model.distance, centers - sx)
-            probs += np.abs(state.amp(label) * np.exp(2j * math.pi * r / model.wavelength)) ** 2
+        probs = sum(np.abs(term) ** 2 for term in _slit_terms(model, state))
     else:
         raise ValueError(f"unknown screen mode {mode!r}")
     return probs / probs.sum()
@@ -308,7 +304,7 @@ def dce_spec(mode: DceMode | str = DceMode.ALWAYS_KEEP) -> ExperimentSpec:
     elif mode is DceMode.COIN_FLIP:
         name = "dce-coinflip"
         rules = (ContingencyRule(CoinOutcome("up"), RemoveScreen(), 1.75),)
-        coin = CoinConfig(("up", "down"), (0.5, 0.5), 1.5, (("up", 0),))
+        coin = CoinConfig(("up", "down"), (0.5, 0.5), 1.5)
     else:
         name = "dce-keep"
         rules = ()
@@ -361,14 +357,6 @@ def builtin_spec(name: str) -> ExperimentSpec:
 
 # -- JSON document form -------------------------------------------------------
 
-_TRIGGER_KINDS = {
-    "always": Always,
-    "transaction-failed": TransactionFailed,
-    "transaction-succeeded": TransactionSucceeded,
-    "coin-outcome": CoinOutcome,
-}
-
-
 def _fail(where: str, message: str) -> SpecError:
     return SpecError(f"{where}: {message}")
 
@@ -384,11 +372,21 @@ def _check_keys(obj: Mapping[str, Any], where: str, allowed: set[str], required:
         raise _fail(where, f"missing field(s) {sorted(missing)}")
 
 
-def _number(obj: Mapping[str, Any], where: str, key: str) -> float:
-    v = obj[key]
+def _finite(v: Any, where: str, name: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise _fail(where, f"field {key!r} must be a number")
-    return float(v)
+        raise _fail(where, f"{name} must be a number")
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal past the float range
+        x = math.inf
+    # NaN and infinite times would stall or skip the event walk.
+    if not math.isfinite(x):
+        raise _fail(where, f"{name} must be a finite number")
+    return x
+
+
+def _number(obj: Mapping[str, Any], where: str, key: str) -> float:
+    return _finite(obj[key], where, f"field {key!r}")
 
 
 def _string(obj: Mapping[str, Any], where: str, key: str) -> str:
@@ -412,7 +410,7 @@ def _parse_trigger(obj: Mapping[str, Any], where: str) -> Trigger:
         return Always()
     if kind in ("transaction-failed", "transaction-succeeded"):
         _check_keys(obj, where, {"kind", "id", "t"}, {"kind", "id", "t"})
-        cls = _TRIGGER_KINDS[kind]
+        cls = TransactionFailed if kind == "transaction-failed" else TransactionSucceeded
         return cls(_string(obj, where, "id"), _number(obj, where, "t"))
     if kind == "coin-outcome":
         _check_keys(obj, where, {"kind", "label"}, {"kind", "label"})
@@ -424,20 +422,12 @@ def _parse_action(obj: Mapping[str, Any], where: str) -> Action:
     if not isinstance(obj, Mapping) or "kind" not in obj:
         raise _fail(where, "action needs a 'kind'")
     kind = obj["kind"]
-    if kind == "place":
-        _check_keys(obj, where, {"kind", "id", "channel", "t", "x"}, {"kind", "id", "channel", "t", "x"})
-        return PlaceAbsorber(
-            _string(obj, where, "id"),
-            _string(obj, where, "channel"),
-            SpacetimePoint(_number(obj, where, "t"), _number(obj, where, "x")),
-        )
-    if kind == "divert":
-        _check_keys(obj, where, {"kind", "channel", "id", "t", "x"}, {"kind", "channel", "id", "t", "x"})
-        return DivertChannel(
-            _string(obj, where, "channel"),
-            _string(obj, where, "id"),
-            SpacetimePoint(_number(obj, where, "t"), _number(obj, where, "x")),
-        )
+    if kind in ("place", "divert"):
+        keys = {"kind", "id", "channel", "t", "x"}
+        _check_keys(obj, where, keys, keys)
+        aid, channel = _string(obj, where, "id"), _string(obj, where, "channel")
+        at = SpacetimePoint(_number(obj, where, "t"), _number(obj, where, "x"))
+        return PlaceAbsorber(aid, channel, at) if kind == "place" else DivertChannel(channel, aid, at)
     if kind == "remove-screen":
         _check_keys(obj, where, {"kind"}, {"kind"})
         return RemoveScreen()
@@ -514,27 +504,13 @@ def load_spec(source: str | bytes | Mapping[str, Any], validate: bool = True) ->
     coin = None
     if "coin" in doc and doc["coin"] is not None:
         entry = doc["coin"]
-        _check_keys(entry, "coin", {"labels", "weights", "flip_time", "on"}, {"labels", "weights", "flip_time"})
+        _check_keys(entry, "coin", {"labels", "weights", "flip_time"}, {"labels", "weights", "flip_time"})
         if not isinstance(entry["labels"], list) or not all(isinstance(s, str) for s in entry["labels"]):
             raise _fail("coin", "field 'labels' must be a list of strings")
         if not isinstance(entry["weights"], list):
             raise _fail("coin", "field 'weights' must be a list of numbers")
-        weights = []
-        for j, w in enumerate(entry["weights"]):
-            if isinstance(w, bool) or not isinstance(w, (int, float)):
-                raise _fail("coin", f"weights[{j}] must be a number")
-            weights.append(float(w))
-        on: list[tuple[str, int]] = []
-        for label, ridx in dict(entry.get("on", {})).items():
-            if isinstance(ridx, bool) or not isinstance(ridx, int):
-                raise _fail("coin", f"on[{label!r}] must be a rule index")
-            on.append((label, ridx))
-        coin = CoinConfig(
-            tuple(entry["labels"]),
-            tuple(weights),
-            _number(entry, "coin", "flip_time"),
-            tuple(on),
-        )
+        weights = tuple(_finite(w, "coin", f"weights[{j}]") for j, w in enumerate(entry["weights"]))
+        coin = CoinConfig(tuple(entry["labels"]), weights, _number(entry, "coin", "flip_time"))
 
     screen = None
     if "screen" in doc and doc["screen"] is not None:
@@ -594,7 +570,6 @@ def spec_to_document(spec: ExperimentSpec) -> dict[str, Any]:
             "labels": list(spec.coin.labels),
             "weights": list(spec.coin.weights),
             "flip_time": spec.coin.flip_time,
-            "on": {label: ridx for label, ridx in spec.coin.on},
         }
     if spec.screen is not None:
         doc["screen"] = {
@@ -638,7 +613,7 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
     """Run every static consistency check; return problem strings (empty = ok).
 
     Beyond field-level checks this verifies causal ordering of every rule
-    (no retro-placement), coin/rule linkage, screen geometry constraints,
+    (no retro-placement), coin labels and weights, screen geometry constraints,
     and that sequential resolution leaves no probability unanswered on any
     reachable branch.
     """
@@ -763,19 +738,6 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             problems.append("coin weights must be non-negative and sum to 1")
         if coin.flip_time <= spec.emission.t:
             problems.append("coin flips before emission")
-        linked = dict(coin.on)
-        if len(linked) != len(coin.on):
-            problems.append("coin links one label twice")
-        for label, ridx in coin.on:
-            if label not in coin.labels:
-                problems.append(f"coin links unknown label {label!r}")
-            if not (0 <= ridx < len(spec.rules)):
-                problems.append(f"coin links label {label!r} to missing rule {ridx}")
-            elif spec.rules[ridx].trigger != CoinOutcome(label):
-                problems.append(f"coin link for label {label!r} disagrees with rule {ridx}'s trigger")
-        for i, rule in enumerate(spec.rules):
-            if isinstance(rule.trigger, CoinOutcome) and linked.get(rule.trigger.label) != i:
-                problems.append(f"rule {i} waits on the coin but is not linked from it")
 
     if problems:
         return problems
@@ -825,29 +787,14 @@ def initial_transactions(spec: ExperimentSpec):
     the emitted state.  Useful for poking at a layout's opening competition
     without running trials.
     """
-    from .engine import OfferWave, form_incipient, respond
-
     bin_channels = spec.bin_channels()
-    screen_up = spec.screen is not None and any(
-        a.initially_present and a.channel in bin_channels for a in spec.absorbers
-    )
-    if screen_up:
+    present = [a for a in spec.absorbers if a.initially_present]
+    if spec.screen is not None and any(a.channel in bin_channels for a in present):
         basis = screen_amplitudes(spec.screen, spec.initial_state)
-        configs = [a for a in spec.absorbers if a.initially_present and a.channel in bin_channels]
     else:
         basis = spec.initial_state
-        configs = [
-            a
-            for a in spec.absorbers
-            if a.initially_present and a.channel in spec.initial_state.labels
-        ]
-    by_channel = {a.channel: a for a in configs}
-    targets = {ch: (by_channel[ch].id if ch in by_channel else None) for ch in basis.labels}
-    ow = OfferWave.from_mapping(spec.emission, basis, targets)
-    out = []
-    for ch in basis.labels:
-        a = by_channel.get(ch)
-        if a is None or basis.amp(ch) == 0:
-            continue
-        out.append(form_incipient(ow, respond(ow, a.id, at=a.position)))
-    return out
+    return confirm(
+        spec.emission,
+        basis,
+        [(a.id, a.channel, a.position) for a in present if a.channel in basis.labels],
+    )

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import COVERAGE_ATOL, ResolutionStrategy
+from .engine import COVERAGE_ATOL, ResolutionStrategy, is_mismatch
 from .experiments import ExperimentSpec
 from .program import classify_counts, compile_program
 
@@ -102,9 +103,6 @@ class ConsistencyReport:
         )
 
 
-_MISMATCH_PREFIXES = ("outcome-mismatch", "emitter-state-mismatch")
-
-
 def run_experiment(spec: ExperimentSpec, config: RunConfig) -> tuple[FrequencyTable, ConsistencyReport]:
     """Run ``config.n_trials`` trials and aggregate; deterministic in the seed.
 
@@ -115,11 +113,13 @@ def run_experiment(spec: ExperimentSpec, config: RunConfig) -> tuple[FrequencyTa
     n = config.n_trials
     spans = [(a, min(a + CHUNK_TRIALS, n)) for a in range(0, n, CHUNK_TRIALS)]
     tasks = [(spec, config.strategy, config.hierarchy_tie_break, config.seed, a, b) for a, b in spans]
-    if config.workers <= 1 or len(tasks) <= 1:
+    # More processes than chunks or CPUs only adds start-up cost.
+    workers = min(config.workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         parts = [_count_chunk(t) for t in tasks]
     else:
         ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=config.workers, mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             parts = list(pool.map(_count_chunk, tasks))
     leaf_counts = np.sum(parts, axis=0)
 
@@ -143,9 +143,9 @@ def run_experiment(spec: ExperimentSpec, config: RunConfig) -> tuple[FrequencyTa
         emitter[label] = emitter.get(label, 0) + c
         if leaf.bin_index is not None:
             hist[leaf.bin_index] += c
-        if any(v.startswith(_MISMATCH_PREFIXES) for v in leaf.violations):
+        if any(map(is_mismatch, leaf.violations)):
             mismatches += c
-        if any(not v.startswith(_MISMATCH_PREFIXES) for v in leaf.violations):
+        if not all(map(is_mismatch, leaf.violations)):
             bilking += c
         weight_err = max(weight_err, leaf.weight_sum_error)
 

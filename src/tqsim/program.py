@@ -11,21 +11,20 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from . import experiments as xp
 from .engine import (
-    COVERAGE_ATOL,
     DEGENERATE,
     NO_OUTCOME,
     Always,
     EventKind,
     IncipientTransaction,
     LedgerEvent,
-    OfferWave,
     ResolutionStrategy,
     SpacetimePoint,
     StrategyError,
@@ -33,16 +32,16 @@ from .engine import (
     TransactionSucceeded,
     TrialLedger,
     check_bilking,
-    form_incipient,
+    confirm,
+    cuts,
     record_emitter_state,
-    respond,
-    sort_by_interval,
+    split_unit,
     trigger_satisfied,
 )
 
-# Probability slivers below this are float rounding, not physics; they are
-# folded into the neighbouring interval instead of becoming branches.
-RESIDUAL_SNAP = 1e-9
+# Kinds of the next event on a branch; on equal times the smaller kind goes
+# first (the coin, then scheduled actions, then absorptions).
+_COIN, _ACTIONS, _ABSORB = 0, 1, 2
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -93,27 +92,25 @@ class _Walk:
 
     time: float
     present: dict[str, tuple[str, SpacetimePoint]]
-    screen_present: bool
     armed: list[tuple[float, int]]
     pending: list[int]
-    coin_done: bool
-    coin_label: str | None
-    failed: list[float]
-    expended: set[str]
-    draws: int
-    prob: float
-    events: list[LedgerEvent]
-    offered: list[float]
-    conditions: list[str]
+    coin_label: str | None = None
+    failed: list[float] = field(default_factory=list)
+    expended: set[str] = field(default_factory=set)
+    draws: int = 0
+    prob: float = 1.0
+    events: list[LedgerEvent] = field(default_factory=list)
+    # Every candidate confirmed on this branch; the fixed strategies let
+    # them all compete in one round once the branch has run its course.
+    offered: list[IncipientTransaction] = field(default_factory=list)
+    conditions: list[str] = field(default_factory=list)
 
     def clone(self) -> "_Walk":
         return _Walk(
             self.time,
             dict(self.present),
-            self.screen_present,
             list(self.armed),
             list(self.pending),
-            self.coin_done,
             self.coin_label,
             list(self.failed),
             set(self.expended),
@@ -146,16 +143,11 @@ class _Builder:
         self.max_draws = 0
 
     def build(self) -> TrialProgram:
-        walk = self._initial_walk()
-        if self.strategy is ResolutionStrategy.SEQUENTIAL:
-            root = self._seq(walk)
-        else:
-            if any(not isinstance(t, Always) for t in self.triggers):
-                raise StrategyError("strategy requires fixed absorber set")
-            if not walk.coin_done:
-                root = self._coin_node(walk, self._fixed_core)
-            else:
-                root = self._fixed_core(walk)
+        if self.strategy is not ResolutionStrategy.SEQUENTIAL and any(
+            not isinstance(t, Always) for t in self.triggers
+        ):
+            raise StrategyError("strategy requires fixed absorber set")
+        root = self._grow(self._initial_walk())
         return TrialProgram(
             self.spec, self.strategy, self.tie_break, root, tuple(self.leaves), self.max_draws
         )
@@ -168,147 +160,115 @@ class _Builder:
             if any(ch == a.channel for ch, _ in present.values()):
                 raise ValueError(f"two absorbers on channel {a.channel!r} simultaneously present")
             present[a.id] = (a.channel, a.position)
-        armed: list[tuple[float, int]] = []
-        pending: list[int] = []
-        for i, rule in enumerate(self.spec.rules):
-            if isinstance(rule.trigger, Always):
-                armed.append((rule.time, i))
-            else:
-                pending.append(i)
-        screen_up = self.spec.screen is not None and any(
-            ch in self.bin_channels for ch, _ in present.values()
-        )
-        return _Walk(
-            time=self.spec.emission.t,
-            present=present,
-            screen_present=screen_up,
-            armed=armed,
-            pending=pending,
-            coin_done=self.spec.coin is None,
-            coin_label=None,
-            failed=[],
-            expended=set(),
-            draws=0,
-            prob=1.0,
-            events=[],
-            offered=[],
-            conditions=[],
-        )
+        walk = _Walk(self.spec.emission.t, present, [], list(range(len(self.spec.rules))))
+        self._arm_pending(walk)  # arms the unconditional rules
+        return walk
 
     # -- event-by-event growth ------------------------------------------
 
-    def _seq(self, walk: _Walk) -> Node | Leaf:
-        while True:
-            candidates = []
-            if not walk.coin_done:
-                candidates.append((self.spec.coin.flip_time, 0))
-            if walk.armed:
-                candidates.append((min(at for at, _ in walk.armed), 1))
-            if walk.present:
-                candidates.append((min(pos.t for _, pos in walk.present.values()), 2))
-            if not candidates:
-                return self._leaf(walk, NO_OUTCOME, terminal=EventKind.NO_TRANSACTION)
-            t, kind = min(candidates)
-            if kind == 0:
-                return self._coin_node(walk, self._seq)
-            if kind == 1:
+    def _next_event(self, walk: _Walk) -> tuple[float, int] | None:
+        """(time, kind) of the earliest pending event, or None when done."""
+        candidates = []
+        if self.spec.coin is not None and walk.coin_label is None:
+            candidates.append((self.spec.coin.flip_time, _COIN))
+        if walk.armed:
+            candidates.append((min(at for at, _ in walk.armed), _ACTIONS))
+        if walk.present:
+            candidates.append((min(pos.t for _, pos in walk.present.values()), _ABSORB))
+        return min(candidates) if candidates else None
+
+    def _grow(self, walk: _Walk) -> Node | Leaf:
+        """Run the branch event by event.  Sequential resolution settles each
+        absorption as it happens; the fixed strategies resolve once, over
+        everything offered, after the last event."""
+        sequential = self.strategy is ResolutionStrategy.SEQUENTIAL
+        while (event := self._next_event(walk)) is not None:
+            t, kind = event
+            if kind == _COIN:
+                return self._coin_node(walk)
+            if kind == _ACTIONS:
                 self._apply_actions_at(walk, t)
-                continue
-            node = self._resolve_event(walk, t)
-            if node is not None:
-                return node
+            elif (txs := self._absorb_event(walk, t)) and sequential:
+                return self._resolve(walk, cuts(self.strategy, txs, math.fsum(walk.failed)))
+        if sequential:
+            return self._leaf(walk, NO_OUTCOME, terminal=EventKind.NO_TRANSACTION)
+        split = cuts(self.strategy, walk.offered, tie_break=self.tie_break)
+        if split == DEGENERATE:
+            return self._leaf(walk, DEGENERATE, terminal=EventKind.DEGENERATE)
+        return self._resolve(walk, split)
 
-    def _fixed_core(self, walk: _Walk) -> Node | Leaf:
-        txs: list[IncipientTransaction] = []
-        while True:
-            candidates = []
-            if walk.armed:
-                candidates.append((min(at for at, _ in walk.armed), 0))
-            if walk.present:
-                candidates.append((min(pos.t for _, pos in walk.present.values()), 1))
-            if not candidates:
-                break
-            t, kind = min(candidates)
-            if kind == 0:
-                self._apply_actions_at(walk, t)
-            else:
-                txs.extend(self._absorb_event(walk, t))
-
-        total = math.fsum(tx.weight for tx in txs)
-        if self.strategy is ResolutionStrategy.GLOBAL_ECHO:
-            if not txs or abs(total - 1.0) > COVERAGE_ATOL:
-                raise StrategyError("GlobalEcho requires complete absorber coverage")
-            ordered = list(txs)
-        else:
-            if not txs or abs(total - 1.0) > COVERAGE_ATOL:
-                raise StrategyError("hierarchy requires complete absorber coverage")
-            ranked = sort_by_interval(txs, self.tie_break)
-            if ranked == DEGENERATE:
-                return self._leaf(walk, DEGENERATE, terminal=EventKind.DEGENERATE)
-            ordered = ranked
-
-        if len(ordered) == 1:
-            return self._success_child(walk, ordered[0], [], 1.0, 0)
-        weights = [tx.weight for tx in ordered]
-        cum = [math.fsum(weights[: i + 1]) for i in range(len(weights))]
+    def _split(self, walk: _Walk, points: tuple[float, ...], grow) -> Node:
+        """A node drawing one uniform: child i grows, via ``grow(i, child)``,
+        from a copy of ``walk`` weighted by the width of slice i."""
         children = []
         prev = 0.0
-        for i, tx in enumerate(ordered):
-            hi = cum[i] if i < len(ordered) - 1 else 1.0
-            if self.strategy is ResolutionStrategy.GLOBAL_ECHO:
-                losers = [o for o in ordered if o is not tx]
-            else:
-                losers = list(ordered[:i])
-            children.append(self._success_child(walk, tx, losers, hi - prev, 1))
-            prev = hi
-        return Node(walk.draws, tuple(cum[:-1]), tuple(children))
-
-    def _coin_node(self, walk: _Walk, grow) -> Node:
-        coin = self.spec.coin
-        cum = [math.fsum(coin.weights[: i + 1]) for i in range(len(coin.weights))]
-        children = []
-        for j, label in enumerate(coin.labels):
+        for i, hi in enumerate(points + (1.0,)):
             child = walk.clone()
-            child.coin_done = True
-            child.coin_label = label
             child.draws = walk.draws + 1
-            child.prob = walk.prob * coin.weights[j]
+            child.prob = walk.prob * (hi - prev)
+            children.append(grow(i, child))
+            prev = hi
+        return Node(walk.draws, points, tuple(children))
+
+    def _coin_node(self, walk: _Walk) -> Node:
+        coin = self.spec.coin
+        points, residual = split_unit(coin.weights)
+        if residual:
+            raise ValueError("coin weights must sum to 1")
+
+        def flip(j: int, child: _Walk) -> Node | Leaf:
+            label = child.coin_label = coin.labels[j]
             child.time = coin.flip_time
             child.events.append(LedgerEvent(EventKind.COIN, coin.flip_time, label=label))
             child.conditions.append(f"coin:{label}")
             self._arm_pending(child)
-            children.append(grow(child))
-        return Node(walk.draws, tuple(cum[:-1]), tuple(children))
+            return self._grow(child)
+
+        return self._split(walk, points, flip)
+
+    def _resolve(self, walk: _Walk, split: tuple) -> Node | Leaf:
+        """Branch on which candidate wins, plus (sequential only) the residual
+        branch on which every candidate fails and the walk goes on."""
+        ordered, points, residual = split
+        if len(ordered) == 1 and not residual:
+            return self._success(walk.clone(), ordered[0], ())
+        hierarchy = self.strategy is ResolutionStrategy.HIERARCHY
+
+        def settle(i: int, child: _Walk) -> Node | Leaf:
+            if i == len(ordered):
+                self._record_failures(child, ordered)
+                child.failed.extend(tx.weight for tx in ordered)
+                self._arm_pending(child)
+                return self._grow(child)
+            # The hierarchy walk stops at its winner, so only nearer
+            # candidates were tried and failed.
+            losers = ordered[:i] if hierarchy else ordered[:i] + ordered[i + 1:]
+            return self._success(child, ordered[i], losers)
+
+        return self._split(walk, points, settle)
 
     def _apply_actions_at(self, walk: _Walk, t: float) -> None:
         due = sorted(ridx for at, ridx in walk.armed if at == t)
         walk.armed = [(at, r) for at, r in walk.armed if at != t]
         for ridx in due:
             action = self.spec.rules[ridx].action
-            if isinstance(action, xp.PlaceAbsorber):
-                if any(ch == action.channel for ch, _ in walk.present.values()):
-                    raise ValueError(f"channel {action.channel!r} already has a live absorber")
-                walk.present[action.absorber] = (action.channel, action.position)
-                walk.events.append(
-                    LedgerEvent(EventKind.PLACE, t, absorber=action.absorber,
-                                channel=action.channel, rule_index=ridx)
-                )
-            elif isinstance(action, xp.DivertChannel):
-                old = next(
-                    (aid for aid, (ch, _) in walk.present.items() if ch == action.channel), None
-                )
-                if old is not None:
-                    del walk.present[old]
-                walk.present[action.new_absorber] = (action.channel, action.position)
-                walk.events.append(
-                    LedgerEvent(EventKind.DIVERT, t, absorber=action.new_absorber,
-                                channel=action.channel, rule_index=ridx)
-                )
-            else:
-                walk.screen_present = False
+            if isinstance(action, xp.RemoveScreen):
                 for aid in [a for a, (ch, _) in walk.present.items() if ch in self.bin_channels]:
                     del walk.present[aid]
                 walk.events.append(LedgerEvent(EventKind.REMOVE_SCREEN, t, rule_index=ridx))
+                continue
+            if isinstance(action, xp.PlaceAbsorber):
+                if any(ch == action.channel for ch, _ in walk.present.values()):
+                    raise ValueError(f"channel {action.channel!r} already has a live absorber")
+                aid, kind = action.absorber, EventKind.PLACE
+            else:
+                for old in [a for a, (ch, _) in walk.present.items() if ch == action.channel]:
+                    del walk.present[old]
+                aid, kind = action.new_absorber, EventKind.DIVERT
+            walk.present[aid] = (action.channel, action.position)
+            walk.events.append(
+                LedgerEvent(kind, t, absorber=aid, channel=action.channel, rule_index=ridx)
+            )
         walk.time = t
 
     def _arm_pending(self, walk: _Walk) -> None:
@@ -324,12 +284,12 @@ class _Builder:
         for aid, (ch, pos) in list(walk.present.items()):
             if pos.t != t:
                 continue
-            if ch in walk.expended:
-                # Shadowed: the channel's component was already taken up
-                # (e.g. a telescope behind a still-standing screen).
-                del walk.present[aid]
-                continue
-            responding.append((aid, ch, pos))
+            # Every responder leaves the walk; one whose channel's component
+            # was already taken up is shadowed (e.g. a telescope behind a
+            # still-standing screen) and sends no confirmation.
+            del walk.present[aid]
+            if ch not in walk.expended:
+                responding.append((aid, ch, pos))
         screen_event = any(ch in self.bin_channels for _, ch, _pos in responding)
         if screen_event:
             if any(ch not in self.bin_channels for _, ch, _pos in responding):
@@ -337,94 +297,39 @@ class _Builder:
             basis = self.screen_state
         else:
             basis = self.spec.initial_state
-        order = {ch: i for i, ch in enumerate(basis.labels)}
-        responding.sort(key=lambda item: order[item[1]])
-        targets: dict[str, str | None] = {ch: None for ch in basis.labels}
-        for aid, ch, _pos in responding:
-            targets[ch] = aid
-        ow = OfferWave.from_mapping(self.spec.emission, basis, targets)
-        txs = []
-        for aid, ch, pos in responding:
-            del walk.present[aid]
-            if basis.amp(ch) == 0:
-                continue
-            tx = form_incipient(ow, respond(ow, aid, at=pos))
+        txs = confirm(self.spec.emission, basis, responding)
+        for tx in txs:
             walk.events.append(
-                LedgerEvent(EventKind.CW, t, absorber=aid, channel=ch, weight=tx.weight)
+                LedgerEvent(EventKind.CW, t, absorber=tx.absorber, channel=tx.channel, weight=tx.weight)
             )
-            txs.append(tx)
-            if not screen_event and ch in self.state_channels:
-                walk.expended.add(ch)
         if screen_event:
             walk.expended |= self.state_channels
-            walk.screen_present = False
-        walk.offered.extend(tx.weight for tx in txs)
+        else:
+            walk.expended.update(tx.channel for tx in txs)
+        walk.offered.extend(txs)
         walk.time = t
         return txs
 
-    def _resolve_event(self, walk: _Walk, t: float) -> Node | Leaf | None:
-        txs = self._absorb_event(walk, t)
-        if not txs:
-            return None
-        m = 1.0 - math.fsum(walk.failed)
-        if m <= COVERAGE_ATOL:
-            raise StrategyError("probability mass exhausted")
-        weights = [tx.weight for tx in txs]
-        if math.fsum(weights) - m > COVERAGE_ATOL:
-            raise StrategyError("present weight exceeds the remaining probability mass")
-        cum = [math.fsum(weights[: i + 1]) / m for i in range(len(weights))]
-        keep_residual = 1.0 - cum[-1] > RESIDUAL_SNAP
-        if len(txs) == 1 and not keep_residual:
-            return self._success_child(walk, txs[0], [], 1.0, 0)
-        children: list[Node | Leaf] = []
-        prev = 0.0
-        for i, tx in enumerate(txs):
-            hi = cum[i] if (i < len(txs) - 1 or keep_residual) else 1.0
-            losers = txs[:i] + txs[i + 1:]
-            children.append(self._success_child(walk, tx, losers, hi - prev, 1))
-            prev = hi
-        if keep_residual:
-            child = walk.clone()
-            child.draws = walk.draws + 1
-            child.prob = walk.prob * (1.0 - cum[-1])
-            for tx in txs:
-                child.events.append(
-                    LedgerEvent(EventKind.FAILURE, tx.absorbed_at.t,
-                                absorber=tx.absorber, channel=tx.channel)
-                )
-                if tx.absorber in self.trigger_refs:
-                    child.conditions.append(f"failed:{tx.absorber}")
-                child.failed.append(tx.weight)
-            self._arm_pending(child)
-            children.append(self._seq(child))
-        cuts = tuple(cum) if keep_residual else tuple(cum[:-1])
-        return Node(walk.draws, cuts, tuple(children))
-
-    def _success_child(
-        self,
-        walk: _Walk,
-        winner: IncipientTransaction,
-        losers: list[IncipientTransaction],
-        width: float,
-        draw_bump: int,
-    ) -> Leaf:
-        child = walk.clone()
-        child.draws = walk.draws + draw_bump
-        child.prob = walk.prob * width
+    def _record_failures(self, walk: _Walk, losers: Sequence[IncipientTransaction]) -> None:
         for tx in losers:
-            child.events.append(
+            walk.events.append(
                 LedgerEvent(EventKind.FAILURE, tx.absorbed_at.t,
                             absorber=tx.absorber, channel=tx.channel)
             )
             if tx.absorber in self.trigger_refs:
-                child.conditions.append(f"failed:{tx.absorber}")
-        child.events.append(
+                walk.conditions.append(f"failed:{tx.absorber}")
+
+    def _success(
+        self, walk: _Walk, winner: IncipientTransaction, losers: Sequence[IncipientTransaction]
+    ) -> Leaf:
+        self._record_failures(walk, losers)
+        walk.events.append(
             LedgerEvent(EventKind.SUCCESS, winner.absorbed_at.t, absorber=winner.absorber,
                         channel=winner.channel, weight=winner.weight)
         )
         if winner.absorber in self.trigger_refs:
-            child.conditions.append(f"succeeded:{winner.absorber}")
-        return self._leaf(child, winner.absorber)
+            walk.conditions.append(f"succeeded:{winner.absorber}")
+        return self._leaf(walk, winner.absorber)
 
     def _leaf(self, walk: _Walk, outcome: str, terminal: EventKind | None = None) -> Leaf:
         if terminal is not None:
@@ -443,7 +348,7 @@ class _Builder:
             ledger=ledger,
             conditions=tuple(walk.conditions),
             bin_index=self.bin_index.get(outcome),
-            weight_sum_error=abs(math.fsum(walk.offered) + unoffered - 1.0),
+            weight_sum_error=abs(math.fsum(tx.weight for tx in walk.offered) + unoffered - 1.0),
             violations=tuple(check_bilking(ledger, self.triggers)),
             probability=walk.prob,
         )

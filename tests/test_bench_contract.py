@@ -1,0 +1,44 @@
+"""The names the benchmark in ``bench/`` reaches into tqsim through.
+
+The benchmark traces tqsim from outside by swapping module attributes, so a
+refactor that moves one of them would break traced runs without failing any
+other test.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from tqsim import maudlin_spec, program
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def traced_boundaries():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(module_name, attr) for module_name, attr, _span, _counter in module.BOUNDARIES]
+
+
+@pytest.mark.parametrize("module_name,attr", traced_boundaries())
+def test_traced_boundary_is_a_callable_attribute(module_name, attr):
+    assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def test_compile_cache_can_be_cleared():
+    assert callable(program.compile_program.cache_clear)
+
+
+def test_program_audits_leaves_through_its_module_global(monkeypatch):
+    audited = []
+    original = program.check_bilking
+
+    def counted(ledger, triggers=()):
+        audited.append(ledger)
+        return original(ledger, triggers)
+
+    monkeypatch.setattr(program, "check_bilking", counted)
+    compiled = program.compile_program.__wrapped__(maudlin_spec(), "sequential", True)
+    assert len(audited) == len(compiled.leaves) > 0

@@ -1,8 +1,14 @@
 """Command-line behavior, exercised in process through main()."""
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tqsim
 from tqsim import maudlin_spec, spec_to_document
 from tqsim.cli import _default_workers, main
 
@@ -59,6 +65,20 @@ def test_validate_reports_coverage_hole(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "validate", write_doc(tmp_path, doc))
     assert code == 1
     assert "incomplete coverage on branch" in err
+
+
+def test_validate_rejects_nan_time_in_bounded_time(tmp_path):
+    # A separate process with a timeout, so a regression cannot hang the suite.
+    doc = spec_to_document(maudlin_spec())
+    del doc["rules"]
+    doc["absorbers"][1].update(present=True, t=math.nan)
+    env = dict(os.environ, PYTHONPATH=str(Path(tqsim.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tqsim.cli", "validate", write_doc(tmp_path, doc)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: absorbers[1]: field 't' must be a finite number\n"
 
 
 def test_validate_missing_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Tests for wave bookkeeping, resolution strategies, and the trial audit."""
+import bisect
 import math
 
 import numpy as np
@@ -9,11 +10,13 @@ from conftest import FakeRng
 from tqsim import (
     DEGENERATE,
     NO_OUTCOME,
+    AbsorberConfig,
     Always,
     CoinOutcome,
     ConfirmationWave,
     EmitterState,
     EventKind,
+    ExperimentSpec,
     IncipientTransaction,
     LedgerEvent,
     OfferWave,
@@ -23,7 +26,10 @@ from tqsim import (
     TransactionSucceeded,
     TrialLedger,
     check_bilking,
+    compile_program,
+    cuts,
     form_incipient,
+    initial_transactions,
     record_emitter_state,
     resolve_global,
     resolve_hierarchy,
@@ -33,6 +39,7 @@ from tqsim import (
     spacetime_interval2,
     trigger_satisfied,
 )
+from tqsim.program import Node
 from tqsim.quantum import StateVector, normalize
 
 SQ = math.sqrt(0.5)
@@ -464,3 +471,60 @@ def test_step_resolution_matches_running_sum(raw, u):
             expect = t
             break
     assert out is expect
+
+
+# -- resolvers against the compiled tree --------------------------------------
+
+def competition(weights, burned, void):
+    """Candidates D0.. with Born weights ``weights``, all absorbing at t=2 at
+    distinct intervals; an absorber X at t=1 with weight ``burned`` fails
+    first (when nonzero); ``void`` is weight on a channel nobody absorbs."""
+    channels = [("X", burned, SpacetimePoint(1.0, 0.0))] if burned else []
+    channels += [(f"D{i}", w, SpacetimePoint(2.0, 0.1 * i)) for i, w in enumerate(weights)]
+    absorbers = tuple(AbsorberConfig(aid, aid, at) for aid, _, at in channels)
+    if void:
+        channels.append(("void", void, None))
+    labels = tuple(ch for ch, _, _ in channels)
+    state = normalize(StateVector(labels, tuple(complex(math.sqrt(w)) for _, w, _ in channels)))
+    return ExperimentSpec("competition", ORIGIN, state, absorbers)
+
+
+def tree_pick(node, u):
+    """Outcome reached by drawing ``u`` at ``node``, or None for no transaction."""
+    if isinstance(node, Node):
+        node = node.children[bisect.bisect_right(node.cuts, u)]
+    return None if node.outcome == NO_OUTCOME else node.outcome
+
+
+@pytest.mark.parametrize("strategy", ["sequential", "global-echo", "hierarchy"])
+@given(
+    st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5),
+    st.one_of(st.just(0.0), st.floats(0.05, 0.9)),
+    # Residuals (relative to the unburned mass) straddling RESIDUAL_SNAP.
+    st.sampled_from([0.0, 5e-10, 9.99e-10, 1.001e-9, 1e-6, 0.3]),
+    st.data(),
+)
+def test_resolvers_pick_what_the_tree_picks(strategy, raw, burned, residual, data):
+    if strategy != "sequential":
+        burned, residual = 0.0, 0.0  # the single-round strategies need full coverage
+    mass = 1.0 - burned
+    weights = [w / math.fsum(raw) * mass * (1.0 - residual) for w in raw]
+    spec = competition(weights, burned, mass * residual)
+    program = compile_program(spec, strategy)
+    txs = {tx.absorber: tx for tx in initial_transactions(spec)}
+    failed = txs.pop("X").weight if burned else 0.0
+    node = program.root.children[-1] if burned else program.root  # the branch where X failed
+    cut_points = node.cuts if isinstance(node, Node) else ()
+    draws = [st.floats(0.0, 1.0, exclude_max=True), st.floats(1.0 - 1e-9, 1.0, exclude_max=True)]
+    if cut_points:  # exactly on a cut, or the float just below it
+        draws.append(st.sampled_from([c for p in cut_points for c in (p, math.nextafter(p, 0.0))]))
+    u = data.draw(st.one_of(*draws))
+    candidates = [txs[f"D{i}"] for i in range(len(weights))]
+    if strategy == "sequential":
+        got = resolve_step(candidates, failed, FakeRng([u]))
+    elif strategy == "global-echo":
+        got = resolve_global(candidates, FakeRng([u]))
+    else:
+        got = resolve_hierarchy(candidates, FakeRng([u]))
+    assert (got.absorber if got is not None else None) == tree_pick(node, u)
+    assert cut_points == cuts(strategy, candidates, failed)[1]

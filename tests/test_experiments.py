@@ -304,6 +304,39 @@ def test_load_rejects_bad_coin_weights():
         load_spec(doc)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+def test_load_rejects_non_finite_numbers(value):
+    # maudlin without its rule and with B present: a NaN absorption time
+    # once made the event walk spin forever.
+    doc = good_doc()
+    del doc["rules"]
+    doc["absorbers"][1].update(present=True, t=value)
+    with pytest.raises(SpecError, match=r"^absorbers\[1\]: field 't' must be a finite number$"):
+        load_spec(doc, validate=False)
+
+
+def test_load_rejects_infinite_placement_time():
+    doc = good_doc()
+    doc["rules"][0]["action"]["t"] = math.inf
+    with pytest.raises(SpecError, match=r"^rules\[0\].action: field 't' must be a finite number$"):
+        load_spec(doc, validate=False)
+
+
+def test_load_rejects_non_finite_coin_weights():
+    doc = spec_to_document(dce_spec("coinflip"))
+    doc["coin"]["weights"] = [0.5, math.nan]
+    with pytest.raises(SpecError, match=r"^coin: weights\[1\] must be a finite number$"):
+        load_spec(doc, validate=False)
+
+
+def test_load_rejects_coin_rule_links():
+    # Coin-outcome triggers alone say which label arms which rule.
+    doc = spec_to_document(dce_spec("coinflip"))
+    doc["coin"]["on"] = {"up": 0}
+    with pytest.raises(SpecError, match=r"^coin: unknown field\(s\) \['on'\]$"):
+        load_spec(doc)
+
+
 def test_load_rejects_bad_screen_bins():
     doc = spec_to_document(dce_spec("keep"))
     doc["screen"]["bins"] = 200
@@ -458,10 +491,13 @@ def test_validate_coin_problems():
     assert "coin weights must be non-negative and sum to 1" in validate_spec(bad)
     bad = replace(flip, coin=replace(flip.coin, flip_time=0.0))
     assert "coin flips before emission" in validate_spec(bad)
-    bad = replace(flip, coin=replace(flip.coin, on=(("down", 0),)))
-    problems = validate_spec(bad)
-    assert any("disagrees with rule 0's trigger" in p for p in problems)
-    assert any("not linked from it" in p for p in problems)
+
+
+def test_unvalidated_short_coin_is_refused_at_compile():
+    flip = dce_spec("coinflip")
+    short = replace(flip, coin=replace(flip.coin, weights=(0.5, 0.3)))
+    with pytest.raises(ValueError, match="^coin weights must sum to 1$"):
+        run_trial(short, "sequential", FakeRng([0.9, 0.5]))
 
 
 def test_validate_coin_trigger_without_coin():

@@ -25,6 +25,7 @@ from tqsim import (
     trial_uniforms,
     visibility,
 )
+from tqsim import montecarlo
 from tqsim.program import classify_counts
 
 
@@ -80,6 +81,33 @@ def test_worker_count_cannot_change_results():
     pooled, rp = run_experiment(spec, RunConfig(CHUNK_TRIALS + 1, 5, workers=2))
     assert serial == pooled
     assert rs == rp
+
+
+def test_pool_never_outnumbers_chunks_or_cpus(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    n = 2 * CHUNK_TRIALS + 1  # three chunks
+    serial, _ = run_experiment(maudlin_spec(), RunConfig(n, 5, workers=1))
+    for cpus, expected in ((8, [3]), (2, [2]), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda cpus=cpus: cpus)
+        table, _ = run_experiment(maudlin_spec(), RunConfig(n, 5, workers=64))
+        assert sizes == expected
+        assert table == serial
 
 
 def test_maudlin_table_invariants():

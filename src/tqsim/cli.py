@@ -165,7 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=_default_workers(),
-        help="worker processes (default from SIM_DEFAULT_WORKERS, else 1)",
+        help="worker threads, capped at the chunk and CPU counts "
+        "(default from SIM_DEFAULT_WORKERS, else 1)",
     )
     p_run.add_argument("--out", help="directory for results.json (and histogram.csv)")
     p_run.add_argument("--format", choices=("json", "csv"), default="json", help="stdout format")

@@ -7,9 +7,8 @@ the work is chunked or how many workers chew on it.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -45,6 +44,11 @@ class RunConfig:
             raise ValueError("workers must be at least 1")
 
 
+def table_width(draws: int) -> int:
+    """Row width of the uniform table: ``draws`` padded to whole 4-draw counter blocks."""
+    return ((draws + 3) // 4) * 4
+
+
 def trial_uniforms(seed: int, start: int, stop: int, padded_draws: int) -> np.ndarray:
     """Rows [start, stop) of the uniform table for this seed.
 
@@ -57,12 +61,6 @@ def trial_uniforms(seed: int, start: int, stop: int, padded_draws: int) -> np.nd
     if padded_draws:
         bg.advance((start * padded_draws) // 4)
     return np.random.Generator(bg).random((stop - start, padded_draws))
-
-
-def _count_chunk(args) -> np.ndarray:
-    spec, strategy, tie_break, seed, start, stop = args
-    program = compile_program(spec, strategy, tie_break)
-    return classify_counts(program, trial_uniforms(seed, start, stop, program.padded_draws))
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,22 +104,24 @@ class ConsistencyReport:
 def run_experiment(spec: ExperimentSpec, config: RunConfig) -> tuple[FrequencyTable, ConsistencyReport]:
     """Run ``config.n_trials`` trials and aggregate; deterministic in the seed.
 
-    Worker processes split the fixed-size chunks between them; the merge is
-    an integer sum, so the result is identical for any worker count.
+    Worker threads split the fixed-size chunks between them and share the
+    compiled tree; the merge is an integer sum, so the result is identical
+    for any worker count.
     """
     program = compile_program(spec, config.strategy, config.hierarchy_tie_break)
     n = config.n_trials
+    width = table_width(program.draws)
     spans = [(a, min(a + CHUNK_TRIALS, n)) for a in range(0, n, CHUNK_TRIALS)]
-    tasks = [(spec, config.strategy, config.hierarchy_tie_break, config.seed, a, b) for a, b in spans]
-    # More processes than chunks or CPUs only adds start-up cost.
-    workers = min(config.workers, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        parts = [_count_chunk(t) for t in tasks]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            parts = list(pool.map(_count_chunk, tasks))
-    leaf_counts = np.sum(parts, axis=0)
+
+    def count_chunk(span: tuple[int, int]) -> np.ndarray:
+        # Looked up at call time, so a module attribute swapped in by a
+        # caller (e.g. a tracer) sees every chunk.
+        return classify_counts(program, trial_uniforms(config.seed, *span, width))
+
+    # More threads than chunks or CPUs only adds overhead.
+    workers = min(config.workers, len(spans), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        leaf_counts = np.sum(list(pool.map(count_chunk, spans)), axis=0)
 
     counts: dict[str, int] = {}
     cond: dict[str, dict[str, int]] = {}

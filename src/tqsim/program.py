@@ -73,12 +73,6 @@ class TrialProgram:
     leaves: tuple[Leaf, ...]
     draws: int
 
-    @property
-    def padded_draws(self) -> int:
-        # The uniform table is padded to a whole number of counter blocks so
-        # any chunk boundary lands on a block edge (4 draws per block).
-        return ((self.draws + 3) // 4) * 4
-
     def run(self, rng) -> xp.TrialResult:
         node = self.root
         while isinstance(node, Node):
@@ -143,6 +137,7 @@ class _Builder:
         self.max_draws = 0
 
     def build(self) -> TrialProgram:
+        self._check_times()
         if self.strategy is not ResolutionStrategy.SEQUENTIAL and any(
             not isinstance(t, Always) for t in self.triggers
         ):
@@ -151,6 +146,24 @@ class _Builder:
         return TrialProgram(
             self.spec, self.strategy, self.tie_break, root, tuple(self.leaves), self.max_draws
         )
+
+    def _check_times(self) -> None:
+        """Refuse a non-finite time: events are matched by exact time, so an
+        event at NaN would never be consumed and the walk would never end."""
+        spec = self.spec
+        times = [("emission", spec.emission.t)]
+        times += [(f"absorber {a.id!r}", a.position.t) for a in spec.absorbers]
+        for i, rule in enumerate(spec.rules):
+            times.append((f"rule {i}", rule.time))
+            if isinstance(rule.trigger, (TransactionFailed, TransactionSucceeded)):
+                times.append((f"rule {i} trigger", rule.trigger.time))
+            if not isinstance(rule.action, xp.RemoveScreen):
+                times.append((f"rule {i} placement", rule.action.position.t))
+        if spec.coin is not None:
+            times.append(("coin", spec.coin.flip_time))
+        for where, t in times:
+            if not math.isfinite(t):
+                raise ValueError(f"{where}: time must be a finite number")
 
     def _initial_walk(self) -> _Walk:
         present: dict[str, tuple[str, SpacetimePoint]] = {}
@@ -374,18 +387,19 @@ def classify_counts(program: TrialProgram, uniforms: np.ndarray) -> np.ndarray:
     i's entries in order, so batched and one-at-a-time execution agree.
     """
     counts = np.zeros(len(program.leaves), dtype=np.int64)
-
-    def descend(node: Node | Leaf, rows: np.ndarray) -> None:
+    # An explicit stack, not a self-referencing closure: a closure cycle
+    # would keep ``uniforms`` alive until the cyclic collector ran.
+    stack = [(program.root, np.arange(uniforms.shape[0], dtype=np.int64))]
+    while stack:
+        node, rows = stack.pop()
         if isinstance(node, Leaf):
             counts[node.index] += rows.size
-            return
+            continue
         side = np.searchsorted(np.asarray(node.cuts), uniforms[rows, node.draw], side="right")
         for c, child in enumerate(node.children):
             sub = rows[side == c]
             if sub.size:
-                descend(child, sub)
-
-    descend(program.root, np.arange(uniforms.shape[0], dtype=np.int64))
+                stack.append((child, sub))
     return counts
 
 

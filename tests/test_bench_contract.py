@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tqsim import maudlin_spec, program
+from tqsim import maudlin_spec, montecarlo, program
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -42,3 +42,25 @@ def test_program_audits_leaves_through_its_module_global(monkeypatch):
     monkeypatch.setattr(program, "check_bilking", counted)
     compiled = program.compile_program.__wrapped__(maudlin_spec(), "sequential", True)
     assert len(audited) == len(compiled.leaves) > 0
+
+
+def test_every_chunk_runs_through_the_module_globals(monkeypatch):
+    # Traced runs swap these two attributes, so every chunk, at any worker
+    # count, must be computed in this process and looked up at call time.
+    seen = []  # list.append is atomic across threads
+
+    def counting(name):
+        original = getattr(montecarlo, name)
+
+        def counted(*args):
+            seen.append(name)
+            return original(*args)
+
+        return counted
+
+    for name in ("classify_counts", "trial_uniforms"):
+        monkeypatch.setattr(montecarlo, name, counting(name))
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    trials = 2 * montecarlo.CHUNK_TRIALS + 1  # three chunks
+    montecarlo.run_experiment(maudlin_spec(), montecarlo.RunConfig(trials, 5, workers=2))
+    assert sorted(seen) == ["classify_counts"] * 3 + ["trial_uniforms"] * 3

@@ -2,10 +2,15 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import tqsim
 from conftest import FakeRng
 from tqsim import (
     DEGENERATE,
@@ -327,6 +332,62 @@ def test_load_rejects_non_finite_coin_weights():
     doc["coin"]["weights"] = [0.5, math.nan]
     with pytest.raises(SpecError, match=r"^coin: weights\[1\] must be a finite number$"):
         load_spec(doc, validate=False)
+
+
+# Specs built in Python never pass load_spec's finiteness check.  Each case
+# puts a NaN time into one entry; the walk once spun forever on such a time.
+_NAN_TIME_CASES = """
+import json, math
+from dataclasses import replace
+from tqsim import PlaceAbsorber, RunConfig, SpacetimePoint, TransactionFailed
+from tqsim import dce_spec, maudlin_spec, run_experiment, validate_spec
+
+nan = math.nan
+m, c = maudlin_spec(), dce_spec("coinflip")
+rule = m.rules[0]
+b_at_nan = replace(m.absorbers[1], position=SpacetimePoint(nan, -1.0), initially_present=True)
+cases = {
+    "absorber": replace(m, rules=(), absorbers=(m.absorbers[0], b_at_nan)),
+    "emission": replace(m, emission=SpacetimePoint(nan, 0.0)),
+    "rule": replace(m, rules=(replace(rule, time=nan),)),
+    "trigger": replace(m, rules=(replace(rule, trigger=TransactionFailed("A", nan)),)),
+    "placement": replace(
+        m, rules=(replace(rule, action=PlaceAbsorber("B", "L", SpacetimePoint(nan, -1.0))),)
+    ),
+    "coin": replace(c, coin=replace(c.coin, flip_time=nan)),
+}
+out = {}
+for name, spec in cases.items():
+    try:
+        run_experiment(spec, RunConfig(10, 1))
+        error = None
+    except ValueError as e:
+        error = str(e)
+    out[name] = {"validate": validate_spec(spec), "run": error}
+print(json.dumps(out))
+"""
+
+
+def test_python_built_spec_with_nan_time_is_refused_in_bounded_time():
+    # A separate process with a timeout, so a regression cannot hang the suite.
+    env = dict(os.environ, PYTHONPATH=str(Path(tqsim.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NAN_TIME_CASES],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["absorber"] == {
+        "validate": ["absorber 'B': time must be a finite number"],
+        "run": "absorber 'B': time must be a finite number",
+    }
+    assert out["emission"]["run"] == "emission: time must be a finite number"
+    assert out["rule"]["run"] == "rule 0: time must be a finite number"
+    assert out["trigger"]["run"] == "rule 0 trigger: time must be a finite number"
+    assert out["placement"]["run"] == "rule 0 placement: time must be a finite number"
+    assert out["coin"]["run"] == "coin: time must be a finite number"
+    for name, result in out.items():
+        assert result["validate"], name
 
 
 def test_load_rejects_coin_rule_links():

@@ -1,5 +1,8 @@
 """Batched runs: determinism, aggregation, summary statistics, serialization."""
+import gc
 import json
+import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -52,7 +55,7 @@ def test_uniform_table_seeds_differ():
 
 def test_batched_counts_match_one_at_a_time_replay():
     program = compile_program(maudlin_spec(), ResolutionStrategy.SEQUENTIAL, True)
-    table = trial_uniforms(11, 0, 300, program.padded_draws)
+    table = trial_uniforms(11, 0, 300, montecarlo.table_width(program.draws))
     counts = classify_counts(program, table)
 
     replayed = Counter()
@@ -62,6 +65,21 @@ def test_batched_counts_match_one_at_a_time_replay():
     for leaf, c in zip(program.leaves, counts):
         by_outcome[leaf.outcome] += int(c)
     assert replayed == by_outcome
+
+
+def test_classification_frees_its_table():
+    # No reference cycle may outlive the call and pin the chunk's table
+    # until the cyclic collector happens to run.
+    program = compile_program(dce_spec("keep"), ResolutionStrategy.SEQUENTIAL, True)
+    table = trial_uniforms(3, 0, 1_000, montecarlo.table_width(program.draws))
+    ref = weakref.ref(table)
+    gc.disable()
+    try:
+        classify_counts(program, table)
+        del table
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_run_is_deterministic():
@@ -83,11 +101,27 @@ def test_worker_count_cannot_change_results():
     assert rs == rp
 
 
+def test_more_threads_than_cores_count_like_one(monkeypatch):
+    # Eight threads on eight chunks, switching often: a chunk counted twice
+    # or lost would change the table.
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    spec = dce_spec("coinflip")
+    n = 8 * CHUNK_TRIALS
+    serial, _ = run_experiment(spec, RunConfig(n, 5, workers=1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded, _ = run_experiment(spec, RunConfig(n, 5, workers=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
 def test_pool_never_outnumbers_chunks_or_cpus(monkeypatch):
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -99,10 +133,10 @@ def test_pool_never_outnumbers_chunks_or_cpus(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
     n = 2 * CHUNK_TRIALS + 1  # three chunks
     serial, _ = run_experiment(maudlin_spec(), RunConfig(n, 5, workers=1))
-    for cpus, expected in ((8, [3]), (2, [2]), (None, [])):
+    for cpus, expected in ((8, [3]), (2, [2]), (None, [1])):
         sizes.clear()
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda cpus=cpus: cpus)
         table, _ = run_experiment(maudlin_spec(), RunConfig(n, 5, workers=64))

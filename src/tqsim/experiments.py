@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
@@ -24,10 +24,12 @@ from .engine import (
     TransactionFailed,
     TransactionSucceeded,
     Trigger,
-    TrialLedger,
     confirm,
 )
 from .quantum import StateVector, normalize
+
+if TYPE_CHECKING:
+    from .program import Leaf
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -195,13 +197,6 @@ class ExperimentSpec:
 
     def bin_channels(self) -> frozenset[str]:
         return frozenset(self.screen.bin_labels()) if self.screen else frozenset()
-
-
-@dataclass(frozen=True, slots=True)
-class TrialResult:
-    outcome: str
-    ledger: TrialLedger
-    coin_outcome: str | None = None
 
 
 class DceMode(str, Enum):
@@ -489,6 +484,8 @@ def load_spec(source: str | bytes | Mapping[str, Any], validate: bool = True) ->
             )
         )
 
+    if not isinstance(doc.get("rules", []), list):
+        raise _fail("rules", "expected a list")
     rules: list[ContingencyRule] = []
     for i, entry in enumerate(doc.get("rules", [])):
         where = f"rules[{i}]"
@@ -621,6 +618,9 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
     state = spec.initial_state
     if not state.is_normalized(atol=1e-9):
         problems.append("state not normalized")
+    if spec.screen is not None and spec.screen.bins > len(spec.absorbers):
+        # Every bin needs an absorber; checked before the label per bin below.
+        return problems + ["screen bins and bin absorbers disagree"]
 
     bin_channels = spec.bin_channels()
     known_channels = set(state.labels) | bin_channels
@@ -771,8 +771,12 @@ def run_trial(
     rng,
     *,
     hierarchy_tie_break: bool = True,
-) -> TrialResult:
-    """Run a single trial, drawing from ``rng`` once per resolution event."""
+) -> Leaf:
+    """Run a single trial, drawing from ``rng`` once per resolution event.
+
+    The trial's record is the tree leaf it lands on: outcome, coin face,
+    ledger, exact branch probability and audit result.
+    """
     from .program import compile_program
 
     program = compile_program(spec, ResolutionStrategy(strategy), hierarchy_tie_break)

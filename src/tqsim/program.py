@@ -43,12 +43,20 @@ from .engine import (
 # first (the coin, then scheduled actions, then absorptions).
 _COIN, _ACTIONS, _ABSORB = 0, 1, 2
 
+# Ledger events one tree's leaves may hold together.  Every screen leaf
+# copies the branch's shared prefix, so a wide screen grows its tree
+# quadratically in the bin count; past this bound the tree is refused.
+MAX_LEDGER_EVENTS = 2_000_000
+
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Leaf:
+    """The whole record of every trial landing here: outcome, coin face,
+    ledger, audit result and the branch's exact probability."""
+
     index: int
     outcome: str
-    coin: str | None
+    coin_outcome: str | None
     ledger: TrialLedger
     conditions: tuple[str, ...]
     bin_index: int | None
@@ -66,29 +74,29 @@ class Node:
 
 @dataclass(frozen=True, eq=False)
 class TrialProgram:
-    spec: xp.ExperimentSpec
-    strategy: ResolutionStrategy
-    tie_break: bool
     root: "Node | Leaf"
     leaves: tuple[Leaf, ...]
     draws: int
 
-    def run(self, rng) -> xp.TrialResult:
+    def run(self, rng) -> Leaf:
         node = self.root
         while isinstance(node, Node):
             node = node.children[bisect.bisect_right(node.cuts, rng.random())]
-        return xp.TrialResult(node.outcome, node.ledger, node.coin)
+        return node
+
+
+def _coin_face(events: Sequence[LedgerEvent]) -> str | None:
+    return next((e.label for e in events if e.kind is EventKind.COIN), None)
 
 
 @dataclass
 class _Walk:
-    """Mutable branch state while the tree is being grown."""
+    """Mutable branch state while the tree is being grown.  ``events`` is
+    the branch's record: rules fire, and the coin shows its face, off it."""
 
     time: float
     present: dict[str, tuple[str, SpacetimePoint]]
-    armed: list[tuple[float, int]]
-    pending: list[int]
-    coin_label: str | None = None
+    fired: set[int] = field(default_factory=set)
     failed: list[float] = field(default_factory=list)
     expended: set[str] = field(default_factory=set)
     draws: int = 0
@@ -103,9 +111,7 @@ class _Walk:
         return _Walk(
             self.time,
             dict(self.present),
-            list(self.armed),
-            list(self.pending),
-            self.coin_label,
+            set(self.fired),
             list(self.failed),
             set(self.expended),
             self.draws,
@@ -134,6 +140,7 @@ class _Builder:
             t.absorber for t in self.triggers if isinstance(t, (TransactionFailed, TransactionSucceeded))
         }
         self.leaves: list[Leaf] = []
+        self.ledger_events = 0
         self.max_draws = 0
 
     def build(self) -> TrialProgram:
@@ -143,9 +150,7 @@ class _Builder:
         ):
             raise StrategyError("strategy requires fixed absorber set")
         root = self._grow(self._initial_walk())
-        return TrialProgram(
-            self.spec, self.strategy, self.tie_break, root, tuple(self.leaves), self.max_draws
-        )
+        return TrialProgram(root, tuple(self.leaves), self.max_draws)
 
     def _check_times(self) -> None:
         """Refuse a non-finite time: events are matched by exact time, so an
@@ -173,21 +178,28 @@ class _Builder:
             if any(ch == a.channel for ch, _ in present.values()):
                 raise ValueError(f"two absorbers on channel {a.channel!r} simultaneously present")
             present[a.id] = (a.channel, a.position)
-        walk = _Walk(self.spec.emission.t, present, [], list(range(len(self.spec.rules))))
-        self._arm_pending(walk)  # arms the unconditional rules
-        return walk
+        return _Walk(self.spec.emission.t, present)
 
     # -- event-by-event growth ------------------------------------------
 
-    def _next_event(self, walk: _Walk) -> tuple[float, int] | None:
-        """(time, kind) of the earliest pending event, or None when done."""
+    def _next_event(self, walk: _Walk) -> tuple[float, int, list[int]] | None:
+        """(time, kind, rules firing then) of the earliest event still to come
+        on the branch, or None when it has run its course.  A rule is due
+        once its trigger is on the branch's record and it has not fired."""
+        rules = self.spec.rules
         candidates = []
-        if self.spec.coin is not None and walk.coin_label is None:
-            candidates.append((self.spec.coin.flip_time, _COIN))
-        if walk.armed:
-            candidates.append((min(at for at, _ in walk.armed), _ACTIONS))
+        if self.spec.coin is not None and _coin_face(walk.events) is None:
+            candidates.append((self.spec.coin.flip_time, _COIN, []))
+        due = [
+            i for i, rule in enumerate(rules)
+            if i not in walk.fired and trigger_satisfied(rule.trigger, walk.events)
+        ]
+        if due:
+            at = min(rules[i].time for i in due)
+            candidates.append((at, _ACTIONS, [i for i in due if rules[i].time == at]))
         if walk.present:
-            candidates.append((min(pos.t for _, pos in walk.present.values()), _ABSORB))
+            candidates.append((min(pos.t for _, pos in walk.present.values()), _ABSORB, []))
+        # Kinds differ, so the rule lists are never compared.
         return min(candidates) if candidates else None
 
     def _grow(self, walk: _Walk) -> Node | Leaf:
@@ -196,11 +208,11 @@ class _Builder:
         everything offered, after the last event."""
         sequential = self.strategy is ResolutionStrategy.SEQUENTIAL
         while (event := self._next_event(walk)) is not None:
-            t, kind = event
+            t, kind, due = event
             if kind == _COIN:
                 return self._coin_node(walk)
             if kind == _ACTIONS:
-                self._apply_actions_at(walk, t)
+                self._apply_actions_at(walk, t, due)
             elif (txs := self._absorb_event(walk, t)) and sequential:
                 return self._resolve(walk, cuts(self.strategy, txs, math.fsum(walk.failed)))
         if sequential:
@@ -230,11 +242,10 @@ class _Builder:
             raise ValueError("coin weights must sum to 1")
 
         def flip(j: int, child: _Walk) -> Node | Leaf:
-            label = child.coin_label = coin.labels[j]
+            label = coin.labels[j]
             child.time = coin.flip_time
             child.events.append(LedgerEvent(EventKind.COIN, coin.flip_time, label=label))
             child.conditions.append(f"coin:{label}")
-            self._arm_pending(child)
             return self._grow(child)
 
         return self._split(walk, points, flip)
@@ -246,12 +257,19 @@ class _Builder:
         if len(ordered) == 1 and not residual:
             return self._success(walk.clone(), ordered[0], ())
         hierarchy = self.strategy is ResolutionStrategy.HIERARCHY
+        # Each child copies this branch's record, and winner i's leaf adds
+        # its losers' failures and its success: refuse the tree now if those
+        # alone would break the bound.
+        n = len(ordered)
+        failures = n * (n - 1) // 2 if hierarchy else n * (n - 1)
+        self._check_size(
+            self.ledger_events + (n + bool(residual)) * len(walk.events) + failures + n
+        )
 
         def settle(i: int, child: _Walk) -> Node | Leaf:
             if i == len(ordered):
                 self._record_failures(child, ordered)
                 child.failed.extend(tx.weight for tx in ordered)
-                self._arm_pending(child)
                 return self._grow(child)
             # The hierarchy walk stops at its winner, so only nearer
             # candidates were tried and failed.
@@ -260,9 +278,9 @@ class _Builder:
 
         return self._split(walk, points, settle)
 
-    def _apply_actions_at(self, walk: _Walk, t: float) -> None:
-        due = sorted(ridx for at, ridx in walk.armed if at == t)
-        walk.armed = [(at, r) for at, r in walk.armed if at != t]
+    def _apply_actions_at(self, walk: _Walk, t: float, due: list[int]) -> None:
+        """Fire the due rules, in rule-index order, at time ``t``."""
+        walk.fired.update(due)
         for ridx in due:
             action = self.spec.rules[ridx].action
             if isinstance(action, xp.RemoveScreen):
@@ -283,13 +301,6 @@ class _Builder:
                 LedgerEvent(kind, t, absorber=aid, channel=action.channel, rule_index=ridx)
             )
         walk.time = t
-
-    def _arm_pending(self, walk: _Walk) -> None:
-        for ridx in list(walk.pending):
-            rule = self.spec.rules[ridx]
-            if trigger_satisfied(rule.trigger, walk.events):
-                walk.pending.remove(ridx)
-                walk.armed.append((rule.time, ridx))
 
     def _absorb_event(self, walk: _Walk, t: float) -> list[IncipientTransaction]:
         """Confirmation waves for every live absorber whose time has come."""
@@ -348,6 +359,8 @@ class _Builder:
         if terminal is not None:
             walk.events.append(LedgerEvent(terminal, walk.time))
         events = tuple(walk.events)
+        self.ledger_events += len(events)
+        self._check_size(self.ledger_events)
         ledger = TrialLedger(events, record_emitter_state(events), outcome)
         unoffered = math.fsum(
             abs(self.spec.initial_state.amp(ch)) ** 2
@@ -357,7 +370,7 @@ class _Builder:
         leaf = Leaf(
             index=len(self.leaves),
             outcome=outcome,
-            coin=walk.coin_label,
+            coin_outcome=_coin_face(events) if self.spec.coin else None,
             ledger=ledger,
             conditions=tuple(walk.conditions),
             bin_index=self.bin_index.get(outcome),
@@ -368,6 +381,14 @@ class _Builder:
         self.leaves.append(leaf)
         self.max_draws = max(self.max_draws, walk.draws)
         return leaf
+
+    @staticmethod
+    def _check_size(ledger_events: int) -> None:
+        if ledger_events > MAX_LEDGER_EVENTS:
+            raise ValueError(
+                f"tree too large: its leaves would hold more than {MAX_LEDGER_EVENTS}"
+                " ledger events (MAX_LEDGER_EVENTS)"
+            )
 
 
 @lru_cache(maxsize=64)

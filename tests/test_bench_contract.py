@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tqsim import maudlin_spec, montecarlo, program
+from tqsim import dce_spec, maudlin_spec, montecarlo, program
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -64,3 +64,18 @@ def test_every_chunk_runs_through_the_module_globals(monkeypatch):
     trials = 2 * montecarlo.CHUNK_TRIALS + 1  # three chunks
     montecarlo.run_experiment(maudlin_spec(), montecarlo.RunConfig(trials, 5, workers=2))
     assert sorted(seen) == ["classify_counts"] * 3 + ["trial_uniforms"] * 3
+
+
+def test_compiled_program_exposes_what_the_benchmark_reads():
+    # Traced runs report leaves, nodes, draws and ledger events per program,
+    # read off these attributes; dce-coinflip has a coin node over a 201-way
+    # screen split.
+    compiled = program.compile_program(dce_spec("coinflip"), "sequential", True)
+
+    def count_nodes(node):
+        return 1 + sum(count_nodes(child) for child in getattr(node, "children", ()))
+
+    assert isinstance(compiled.root, program.Node)
+    assert all(isinstance(leaf, program.Leaf) for leaf in compiled.leaves)
+    assert (len(compiled.leaves), count_nodes(compiled.root), compiled.draws) == (203, 206, 2)
+    assert sum(len(leaf.ledger.events) for leaf in compiled.leaves) == 81015

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tqsim
-from tqsim import maudlin_spec, spec_to_document
+from tqsim import dce_spec, maudlin_spec, program, spec_to_document
 from tqsim.cli import _default_workers, main
 
 
@@ -79,6 +79,83 @@ def test_validate_rejects_nan_time_in_bounded_time(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr == "error: absorbers[1]: field 't' must be a finite number\n"
+
+
+def run_bounded(argv, preamble=""):
+    """``sim ARGV`` in a separate process with a timeout, so a regression
+    cannot hang the suite; ``preamble`` runs first (e.g. to cap memory)."""
+    code = preamble + "\nfrom tqsim.cli import main\nimport sys\nraise SystemExit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(tqsim.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60, env=env
+    )
+
+
+@pytest.mark.parametrize("rules", [None, 5])
+def test_validate_rejects_rules_that_are_not_a_list(tmp_path, capsys, rules):
+    doc = spec_to_document(maudlin_spec())
+    doc["rules"] = rules
+    code, _out, err = run_cli(capsys, "validate", write_doc(tmp_path, doc))
+    assert code == 1
+    assert err == "error: rules: expected a list\n"
+
+
+def test_validate_rejects_huge_bin_count_in_bounded_memory(tmp_path):
+    # A label per declared bin once exhausted memory before any check ran.
+    doc = spec_to_document(dce_spec("keep"))
+    doc["screen"]["bins"] = 20_000_001
+    cap = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))"
+    proc = run_bounded(["validate", write_doc(tmp_path, doc)], preamble=cap)
+    assert proc.returncode == 1
+    assert proc.stderr == "screen bins and bin absorbers disagree\n"
+
+
+def wide_screen_doc(bins):
+    """dce-keep on a ``bins``-bin screen of the bundled bin width."""
+    doc = spec_to_document(dce_spec("keep"))
+    screen = doc["screen"]
+    screen["span"] *= bins / screen["bins"]
+    screen["bins"] = bins
+    telescopes = [a for a in doc["absorbers"] if not a["channel"].startswith("bin")]
+    doc["absorbers"] = [
+        {"id": f"bin{k:03d}", "channel": f"bin{k:03d}", "t": 2.0, "x": 2.0, "present": True}
+        for k in range(bins)
+    ] + telescopes
+    return doc
+
+
+def test_validate_refuses_a_screen_too_wide_to_compile(tmp_path):
+    # Each of the 1601 bin leaves would copy 1601 confirmations and record
+    # 1600 failures: about 5M ledger events, refused before any leaf is built.
+    proc = run_bounded(["validate", write_doc(tmp_path, wide_screen_doc(1601))])
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"tree too large: its leaves would hold more than {program.MAX_LEDGER_EVENTS}"
+        " ledger events (MAX_LEDGER_EVENTS)\n"
+    )
+
+
+@pytest.mark.parametrize("experiment", ["maudlin", "dce-keep"])
+@pytest.mark.parametrize("slack,expected", [(0, 0), (-1, 1)])
+def test_tree_size_bound_is_exact(monkeypatch, capsys, experiment, slack, expected):
+    # maudlin's residual branch outgrows the estimate made at its root, so
+    # the leaf-by-leaf count refuses it; dce-keep's 201-way split is refused
+    # up front.
+    spec = tqsim.builtin_spec(experiment)
+    total = sum(
+        len(leaf.ledger.events)
+        for leaf in program.compile_program.__wrapped__(spec, "sequential", True).leaves
+    )
+    monkeypatch.setattr(program, "MAX_LEDGER_EVENTS", total + slack)
+    program.compile_program.cache_clear()
+    try:
+        code, _out, err = run_cli(
+            capsys, "run", "--experiment", experiment, "--trials", "1000", "--seed", "1"
+        )
+    finally:
+        program.compile_program.cache_clear()
+    assert code == expected
+    assert ("tree too large" in err) == bool(expected)
 
 
 def test_validate_missing_file(tmp_path, capsys):

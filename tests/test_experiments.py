@@ -46,6 +46,7 @@ from tqsim import (
     visibility,
 )
 from tqsim.experiments import INTERFERENCE, WHICH_SLIT
+from tqsim.program import Leaf, compile_program
 
 ALL_BUILTINS = ("maudlin", "miller", "dce-keep", "dce-remove", "dce-coinflip")
 
@@ -612,6 +613,15 @@ def test_trial_direct_success():
     assert check_bilking(result.ledger, tuple(r.trigger for r in spec.rules)) == []
 
 
+def test_trial_record_is_the_tree_leaf():
+    spec = maudlin_spec()
+    result = run_trial(spec, "sequential", FakeRng([0.7]))
+    assert isinstance(result, Leaf)
+    assert (result.outcome, result.coin_outcome, result.conditions) == ("B", None, ("failed:A",))
+    assert result.probability == pytest.approx(0.5)
+    assert result.violations == ()
+
+
 def test_trial_contingent_placement():
     spec = maudlin_spec()
     result = run_trial(spec, "sequential", FakeRng([0.7]))
@@ -663,3 +673,30 @@ def test_trial_kept_screen_lands_in_bins():
 def test_single_round_strategies_reject_contingent_specs(name, strategy):
     with pytest.raises(StrategyError, match="strategy requires fixed absorber set"):
         run_trial(builtin_spec(name), strategy, FakeRng([0.5]))
+
+
+def _builder_refusals():
+    m, keep = maudlin_spec(), dce_spec("keep")
+    a, b = m.absorbers
+    c = AbsorberConfig("C", "L", SpacetimePoint(2.5, -1.5), initially_present=False)
+    place_c = ContingencyRule(Always(), PlaceAbsorber("C", "L", c.position), 0.5)
+    telescope_at_screen = replace(keep.absorbers[-2], position=SpacetimePoint(2.0, 3.0))
+    return {
+        "two absorbers on channel 'R' simultaneously present": replace(
+            m, rules=(), absorbers=(a, replace(b, channel="R", initially_present=True))
+        ),
+        "channel 'L' already has a live absorber": replace(
+            m, absorbers=(a, replace(b, initially_present=True), c), rules=(place_c,)
+        ),
+        "screen and direct absorbers share an absorption event": replace(
+            keep, absorbers=keep.absorbers[:-2] + (telescope_at_screen, keep.absorbers[-1])
+        ),
+    }
+
+
+@pytest.mark.parametrize("message", list(_builder_refusals()))
+def test_builder_refuses_python_built_spec(message):
+    # Specs built in Python skip validate_spec; the tree builder still refuses.
+    spec = _builder_refusals()[message]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        compile_program(spec, "sequential")

@@ -28,7 +28,8 @@ from tqsim import (
     trial_uniforms,
     visibility,
 )
-from tqsim import montecarlo
+from tqsim import cli, montecarlo, program
+from tqsim.engine import is_mismatch
 from tqsim.program import classify_counts
 
 
@@ -174,6 +175,42 @@ def test_coinflip_histogram_only_counts_kept_screen_trials():
     assert sum(table.histogram.counts) == down
     up_outcomes = set(table.conditional_counts["coin:up"])
     assert up_outcomes == {"TA", "TB"}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        {"A": ["outcome-mismatch:recorded=A,won=B"]},
+        {"B": ["placement-without-prior-trigger:rule0@t=2.0"]},
+        {"A": ["emitter-state-mismatch:test", "multiple-success"]},
+        {"A": ["outcome-mismatch:test"], "B": ["duplicate-resolution:B"]},
+    ],
+    ids=["mismatch", "bilking", "both-on-one-leaf", "one-each"],
+)
+def test_audit_counts_the_trials_on_flagged_leaves(monkeypatch, capsys, flags):
+    # Leaves are audited once, at compile time, so the cache must not hand
+    # back clean leaves compiled earlier, nor keep the flagged ones.
+    original = program.check_bilking
+
+    def flagged(ledger, triggers=()):
+        return original(ledger, triggers) + flags.get(ledger.final_outcome, [])
+
+    monkeypatch.setattr(program, "check_bilking", flagged)
+    program.compile_program.cache_clear()
+    try:
+        table, report = run_experiment(maudlin_spec(), RunConfig(20_000, 3))
+        code = cli.main(["run", "--experiment", "maudlin", "--trials", "2000", "--seed", "3"])
+    finally:
+        program.compile_program.cache_clear()
+    capsys.readouterr()
+
+    def trials_flagged(kind):
+        return sum(table.counts[o] for o, found in flags.items() if any(map(kind, found)))
+
+    assert report.emitter_state_outcome_mismatches == trials_flagged(is_mismatch)
+    assert report.bilking_violations == trials_flagged(lambda v: not is_mismatch(v))
+    assert not report.clean()
+    assert code == 2
 
 
 def test_run_config_validation():

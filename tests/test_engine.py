@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import FakeRng
 from tqsim import (
@@ -451,23 +451,26 @@ def test_global_resolution_matches_cdf_inversion(raw, u):
     weights = [w / total for w in raw]
     txs = [tx(f"D{i}", w, float(i + 1)) for i, w in enumerate(weights)]
     winner = resolve_global(txs, FakeRng([u]))
-    cum = np.cumsum([t.weight for t in txs])
+    cum = [math.fsum(t.weight for t in txs[: i + 1]) for i in range(len(txs))]
     expect = min(int(np.searchsorted(cum, u, side="right")), len(txs) - 1)
     assert winner.absorber == f"D{expect}"
 
 
 @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5), st.floats(0.0, 1.0, exclude_max=True))
+# A draw on the exact boundary of the residual branch: the naive running sum
+# of these weights rounds to just above 0.5, the exact prefix sum is 0.5.
+@example(raw=[0.5, 0.99999, 1.0, 0.5], u=0.5)
 def test_step_resolution_matches_running_sum(raw, u):
     # Scale so the present candidates hold half the unit mass; the other
     # half must come out as the residual (None) branch.
     total = math.fsum(raw) * 2.0
     present = [tx(f"D{i}", w / total, float(i + 1)) for i, w in enumerate(raw)]
     out = resolve_step(present, 0.0, FakeRng([u]))
-    acc = 0.0
+    # Each slice ends at the exact (fsum) prefix sum of the weights, so
+    # rounding does not build up along the list.
     expect = None
-    for t in present:
-        acc += t.weight / 1.0
-        if u < acc:
+    for i, t in enumerate(present):
+        if u < math.fsum(p.weight for p in present[: i + 1]) / 1.0:
             expect = t
             break
     assert out is expect

@@ -40,6 +40,8 @@ class RunConfig:
             raise ValueError("n_trials must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.seed >= 2**128:
+            raise ValueError("seed must be below 2**128")  # the Philox key width
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 

@@ -391,36 +391,72 @@ class _Builder:
             )
 
 
-@lru_cache(maxsize=64)
+def _build(spec: xp.ExperimentSpec, strategy: ResolutionStrategy, tie_break: bool) -> TrialProgram:
+    return _Builder(spec, ResolutionStrategy(strategy), bool(tie_break)).build()
+
+
+_cached_build = lru_cache(maxsize=64)(_build)
+
+
 def compile_program(
     spec: xp.ExperimentSpec,
-    strategy: ResolutionStrategy,
+    strategy: ResolutionStrategy | str,
     tie_break: bool = True,
 ) -> TrialProgram:
-    """Grow (and cache) the decision tree for one spec/strategy pairing."""
-    return _Builder(spec, ResolutionStrategy(strategy), bool(tie_break)).build()
+    """Grow (and cache) the decision tree for one spec/strategy pairing.
+
+    The arguments are normalized before the cache lookup, so every call
+    form of the same triple shares one entry and one tree.
+    """
+    return _cached_build(spec, ResolutionStrategy(strategy), bool(tie_break))
+
+
+# The lru_cache interface, with ``__wrapped__`` an uncached compile.
+compile_program.cache_clear = _cached_build.cache_clear
+compile_program.cache_info = _cached_build.cache_info
+compile_program.__wrapped__ = _build
 
 
 def classify_counts(program: TrialProgram, uniforms: np.ndarray) -> np.ndarray:
     """Push a (trials, draws) uniform block through the tree; count per leaf.
 
-    Row i follows exactly the path ``program.run`` would take drawing row
-    i's entries in order, so batched and one-at-a-time execution agree.
+    Row i lands on the leaf ``program.run`` reaches drawing row i's entries
+    in order, so batched and one-at-a-time execution agree.  At a node,
+    value u goes to child ``bisect_right(cuts, u)`` (``searchsorted(cuts,
+    u, side="right")``): child c holds ``cuts[c-1] <= u < cuts[c]``, and a
+    value on a cut goes to the child above it.  So the children's counts
+    come from ranking the cuts in the node's sorted column:
+    ``searchsorted(sorted, cuts, side="left")`` counts the values below
+    each cut, and its differences are the children's counts.  A leaf child
+    just adds its count; only an internal child takes its rows, through
+    one range mask.
     """
     counts = np.zeros(len(program.leaves), dtype=np.int64)
     # An explicit stack, not a self-referencing closure: a closure cycle
     # would keep ``uniforms`` alive until the cyclic collector ran.
-    stack = [(program.root, np.arange(uniforms.shape[0], dtype=np.int64))]
+    # Rows reaching a node, as indices into ``uniforms``; None for all of them.
+    stack = [(program.root, None)]
     while stack:
         node, rows = stack.pop()
         if isinstance(node, Leaf):
-            counts[node.index] += rows.size
+            counts[node.index] += uniforms.shape[0] if rows is None else rows.size
             continue
-        side = np.searchsorted(np.asarray(node.cuts), uniforms[rows, node.draw], side="right")
-        for c, child in enumerate(node.children):
-            sub = rows[side == c]
-            if sub.size:
-                stack.append((child, sub))
+        col = uniforms[:, node.draw] if rows is None else uniforms[rows, node.draw]
+        below = np.searchsorted(np.sort(col), node.cuts, side="left")
+        sizes = np.diff(below, prepend=0, append=col.size)
+        for c, (child, size) in enumerate(zip(node.children, sizes)):
+            if not size:
+                continue
+            if isinstance(child, Leaf):
+                counts[child.index] += size
+                continue
+            if c == 0:
+                inside = col < node.cuts[0]
+            elif c == len(node.cuts):
+                inside = col >= node.cuts[-1]
+            else:
+                inside = (col >= node.cuts[c - 1]) & (col < node.cuts[c])
+            stack.append((child, np.flatnonzero(inside) if rows is None else rows[inside]))
     return counts
 
 

@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tqsim import dce_spec, maudlin_spec, montecarlo, program
@@ -15,11 +16,15 @@ from tqsim import dce_spec, maudlin_spec, montecarlo, program
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def traced_boundaries():
+def tracing_boundaries():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(module_name, attr) for module_name, attr, _span, _counter in module.BOUNDARIES]
+    return module.BOUNDARIES
+
+
+def traced_boundaries():
+    return [(module_name, attr) for module_name, attr, _span, _counter in tracing_boundaries()]
 
 
 @pytest.mark.parametrize("module_name,attr", traced_boundaries())
@@ -79,3 +84,30 @@ def test_compiled_program_exposes_what_the_benchmark_reads():
     assert all(isinstance(leaf, program.Leaf) for leaf in compiled.leaves)
     assert (len(compiled.leaves), count_nodes(compiled.root), compiled.draws) == (203, 206, 2)
     assert sum(len(leaf.ledger.events) for leaf in compiled.leaves) == 81015
+
+
+def test_classification_takes_and_returns_what_the_tracer_counts(monkeypatch):
+    # The tracer's counter for classify_counts reads its arguments as
+    # (program, uniforms), and run_experiment sums one int64 count per leaf.
+    (counter,) = [
+        counter for module_name, attr, _span, counter in tracing_boundaries()
+        if (module_name, attr) == ("tqsim.montecarlo", "classify_counts")
+    ]
+    calls = []
+    original = montecarlo.classify_counts
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "classify_counts", recorded)
+    montecarlo.run_experiment(dce_spec("coinflip"), montecarlo.RunConfig(1_000, 5))
+    ((args, kwargs),) = calls
+    assert kwargs == {}
+    compiled, uniforms = args
+    assert isinstance(compiled, program.TrialProgram)
+    assert counter(*args) == {"rows": 1_000, "draws": 1_000 * compiled.draws}
+    counts = original(*args)
+    assert counts.dtype == np.int64
+    assert counts.shape == (len(compiled.leaves),)
+    assert counts.sum() == 1_000

@@ -234,6 +234,18 @@ def test_run_requires_seed(capsys):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("seed,expected", [(2**128, 1), (2**128 - 1, 0)])
+def test_run_seed_bound(capsys, seed, expected):
+    code, out, err = run_cli(
+        capsys, "run", "--experiment", "maudlin", "--trials", "10", "--seed", str(seed)
+    )
+    assert code == expected
+    if expected:
+        assert err == "error: seed must be below 2**128\n"
+    else:
+        assert json.loads(out)["seed"] == seed
+
+
 def test_run_rejects_experiment_and_spec_together(tmp_path, capsys):
     path = write_doc(tmp_path, spec_to_document(maudlin_spec()))
     code, _out, err = run_cli(

@@ -24,6 +24,7 @@ from tqsim import (
     EventKind,
     ExperimentSpec,
     PlaceAbsorber,
+    ResolutionStrategy,
     ScreenModel,
     SpacetimePoint,
     SpecError,
@@ -620,6 +621,24 @@ def test_trial_record_is_the_tree_leaf():
     assert (result.outcome, result.coin_outcome, result.conditions) == ("B", None, ("failed:A",))
     assert result.probability == pytest.approx(0.5)
     assert result.violations == ()
+
+
+def test_every_call_form_shares_one_compiled_tree():
+    spec = maudlin_spec()
+    compile_program.cache_clear()
+    try:
+        forms = [
+            compile_program(spec, "sequential"),
+            compile_program(spec, ResolutionStrategy.SEQUENTIAL, True),
+            compile_program(spec, "sequential", tie_break=True),
+            compile_program(spec, strategy=ResolutionStrategy.SEQUENTIAL),
+            compile_program(spec, "sequential", 1),
+        ]
+        assert all(form is forms[0] for form in forms)
+        assert compile_program.cache_info().misses == 1
+        assert run_trial(spec, "sequential", FakeRng([0.7])) in forms[0].leaves
+    finally:
+        compile_program.cache_clear()
 
 
 def test_trial_contingent_placement():

@@ -1,5 +1,6 @@
 """Batched runs: determinism, aggregation, summary statistics, serialization."""
 import gc
+import itertools
 import json
 import sys
 import weakref
@@ -16,6 +17,7 @@ from tqsim import (
     Histogram,
     ResolutionStrategy,
     RunConfig,
+    builtin_spec,
     compare_to_expected,
     compile_program,
     conditional_frequency,
@@ -30,7 +32,7 @@ from tqsim import (
 )
 from tqsim import cli, montecarlo, program
 from tqsim.engine import is_mismatch
-from tqsim.program import classify_counts
+from tqsim.program import Leaf, Node, TrialProgram, classify_counts
 
 
 # -- uniform table ------------------------------------------------------------
@@ -66,6 +68,68 @@ def test_batched_counts_match_one_at_a_time_replay():
     for leaf, c in zip(program.leaves, counts):
         by_outcome[leaf.outcome] += int(c)
     assert replayed == by_outcome
+
+
+def rows_at_the_cuts(program):
+    """Every combination, across the draw columns, of 0.0, each cut drawn
+    in that column and the float just below it."""
+    values = [{0.0} for _ in range(program.draws)]
+    stack = [program.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Node):
+            for cut in node.cuts:
+                values[node.draw] |= {cut, float(np.nextafter(cut, 0.0))}
+            stack.extend(node.children)
+    return np.array(list(itertools.product(*map(sorted, values))), dtype=float)
+
+
+def hand_built_program():
+    """Internal children first, in the middle and last; a repeated cut
+    leaves a zero-width slice at every level."""
+    leaves = tuple(
+        Leaf(i, f"L{i}", None, None, (), None, 0.0, (), 0.0) for i in range(12)
+    )
+    first = Node(1, (0.3, 0.6), leaves[0:3])
+    deep = Node(2, (0.25, 0.25, 0.75), leaves[5:9])
+    middle = Node(1, (0.4, 0.4), (leaves[3], leaves[4], deep))
+    last = Node(1, (0.5,), leaves[9:11])
+    root = Node(0, (0.2, 0.5, 0.5, 0.8), (first, leaves[11], middle, middle, last))
+    return TrialProgram(root, leaves, 3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: compile_program(dce_spec("keep"), "sequential"),
+        lambda: compile_program(dce_spec("coinflip"), "sequential"),
+        lambda: compile_program(builtin_spec("miller"), "sequential"),
+        lambda: compile_program(dce_spec("keep"), "hierarchy"),
+        hand_built_program,
+    ],
+    ids=["dce-keep", "dce-coinflip", "miller", "dce-keep/hierarchy", "hand-built"],
+)
+def test_batched_and_single_trials_land_on_the_same_leaf_at_the_cuts(make):
+    program = make()
+    table = rows_at_the_cuts(program)
+    landed = [program.run(FakeRng(list(row))).index for row in table]
+    for row, leaf in zip(table, landed):
+        counts = classify_counts(program, row[None, :])
+        assert np.flatnonzero(counts).tolist() == [leaf], row
+    counts = classify_counts(program, table)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == np.bincount(landed, minlength=len(program.leaves)).tolist()
+
+
+def test_classification_of_an_empty_table():
+    for program in (
+        compile_program(dce_spec("coinflip"), "sequential"),
+        compile_program(dce_spec("keep"), "hierarchy"),
+        hand_built_program(),
+    ):
+        counts = classify_counts(program, np.empty((0, montecarlo.table_width(program.draws))))
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [0] * len(program.leaves)
 
 
 def test_classification_frees_its_table():
@@ -218,11 +282,19 @@ def test_run_config_validation():
         RunConfig(0, 1)
     with pytest.raises(ValueError, match="seed"):
         RunConfig(10, -1)
+    with pytest.raises(ValueError, match=r"^seed must be below 2\*\*128$"):
+        RunConfig(10, 2**128)
     with pytest.raises(ValueError, match="workers"):
         RunConfig(10, 1, workers=0)
     cfg = RunConfig(10, 1, strategy="hierarchy")
     assert cfg.strategy is ResolutionStrategy.HIERARCHY
     assert cfg.hierarchy_tie_break is True
+
+
+def test_largest_seed_still_runs():
+    table, report = run_experiment(maudlin_spec(), RunConfig(10, 2**128 - 1))
+    assert sum(table.counts.values()) == 10
+    assert report.clean()
 
 
 # -- summary statistics -------------------------------------------------------

@@ -4,8 +4,10 @@ An emitted offer wave carries amplitude on each channel; an absorber that
 receives a component answers with a confirmation wave whose amplitude is
 exactly the complex conjugate of the incident one.  Each offer/confirmation
 pair defines an incipient transaction weighted by the squared modulus of
-the channel amplitude.  The resolution strategies below pick which (if any)
-incipient transaction actualizes in a trial.
+the channel amplitude (:func:`confirm`).  Every resolution strategy splits
+[0, 1) among the competing candidates by one rule (:func:`cuts`); a uniform
+draw against those cut points picks which (if any) incipient transaction
+actualizes in a trial.
 """
 from __future__ import annotations
 
@@ -62,54 +64,6 @@ def spacetime_interval2(emission: SpacetimePoint, absorption: SpacetimePoint) ->
 
 
 @dataclass(frozen=True, slots=True)
-class OfferWave:
-    """An emitted state plus the absorber (if any) each channel is aimed at."""
-
-    emission: SpacetimePoint
-    state: StateVector
-    channel_targets: tuple[tuple[str, str | None], ...]
-
-    def __post_init__(self) -> None:
-        targets = dict(self.channel_targets)
-        if set(targets) != set(self.state.labels):
-            raise ValueError("channel targets must cover exactly the state's channels")
-        taken = [a for a in targets.values() if a is not None]
-        if len(taken) != len(set(taken)):
-            raise ValueError("an absorber may be the target of at most one channel")
-
-    @classmethod
-    def from_mapping(
-        cls,
-        emission: SpacetimePoint,
-        state: StateVector,
-        targets: dict[str, str | None],
-    ) -> "OfferWave":
-        return cls(emission, state, tuple((ch, targets.get(ch)) for ch in state.labels))
-
-    def target_of(self, channel: str) -> str | None:
-        for ch, absorber in self.channel_targets:
-            if ch == channel:
-                return absorber
-        raise KeyError(f"no channel {channel!r}")
-
-    def channel_of(self, absorber: str) -> str:
-        for ch, a in self.channel_targets:
-            if a == absorber:
-                return ch
-        raise KeyError(f"absorber {absorber!r} is not targeted by this offer wave")
-
-
-@dataclass(frozen=True, slots=True)
-class ConfirmationWave:
-    """Advanced response from one absorber; amplitude conjugates the offer."""
-
-    channel: str
-    absorber: str
-    amp: complex
-    returned_at: SpacetimePoint
-
-
-@dataclass(frozen=True, slots=True)
 class IncipientTransaction:
     """A matched offer/confirmation pair, not yet actualized.
 
@@ -126,37 +80,6 @@ class IncipientTransaction:
     absorbed_at: SpacetimePoint
 
 
-def respond(ow: OfferWave, absorber: str, at: SpacetimePoint | None = None) -> ConfirmationWave:
-    """Build the confirmation wave an absorber returns for its channel.
-
-    The amplitude is the exact complex conjugate of the incident component.
-    ``at`` is the absorption event; it defaults to the emission point when
-    the geometry is irrelevant to the caller.
-    """
-    channel = ow.channel_of(absorber)
-    amp = ow.state.amp(channel).conjugate()
-    return ConfirmationWave(channel, absorber, amp, at if at is not None else ow.emission)
-
-
-def form_incipient(
-    ow: OfferWave,
-    cw: ConfirmationWave,
-    geometry: tuple[SpacetimePoint, SpacetimePoint] | None = None,
-) -> IncipientTransaction:
-    """Pair an offer component with its confirmation into a weighted candidate.
-
-    ``geometry`` overrides the (emission, absorption) pair; by default the
-    offer's emission point and the confirmation's return point are used.
-    """
-    offer_amp = ow.state.amp(cw.channel)
-    if cw.amp != offer_amp.conjugate():
-        raise ValueError("confirmation amplitude does not conjugate the offer")
-    weight = (cw.amp * offer_amp).real
-    emission, absorption = geometry if geometry is not None else (ow.emission, cw.returned_at)
-    interval2 = spacetime_interval2(emission, absorption)
-    return IncipientTransaction(cw.channel, cw.absorber, weight, interval2, absorption)
-
-
 def confirm(
     emission: SpacetimePoint,
     basis: StateVector,
@@ -169,12 +92,17 @@ def confirm(
     carries no offer, so its absorber forms no candidate.
     """
     by_channel = {ch: (aid, at) for aid, ch, at in responders}
-    ow = OfferWave.from_mapping(emission, basis, {ch: aid for ch, (aid, _) in by_channel.items()})
-    return [
-        form_incipient(ow, respond(ow, *by_channel[ch]))
-        for ch, amp in zip(basis.labels, basis.amps)
-        if ch in by_channel and amp != 0
-    ]
+    candidates = []
+    for ch, amp in zip(basis.labels, basis.amps):
+        if ch in by_channel and amp != 0:
+            aid, at = by_channel[ch]
+            # The confirmation's amplitude conjugates the offer's, so their
+            # product is the Born weight |amp|^2.
+            weight = (amp.conjugate() * amp).real
+            candidates.append(
+                IncipientTransaction(ch, aid, weight, spacetime_interval2(emission, at), at)
+            )
+    return candidates
 
 
 def sort_by_interval(
@@ -250,48 +178,22 @@ def cuts(
     return tuple(ordered), points, residual
 
 
-def _pick(split, u: float) -> IncipientTransaction | None:
-    ordered, points, _residual = split
-    i = bisect.bisect_right(points, u)
-    return ordered[i] if i < len(ordered) else None
-
-
-def resolve_global(
-    transactions: Sequence[IncipientTransaction], rng
-) -> IncipientTransaction:
-    """Sample one winner from a complete competition in a single echo round.
-
-    Requires the candidate weights to sum to 1: the strategy has no account
-    of leftover probability mass.
-    """
-    return _pick(cuts(ResolutionStrategy.GLOBAL_ECHO, transactions), rng.random())
-
-
 def resolve_hierarchy(
     transactions: Sequence[IncipientTransaction], rng, tie_break: bool = True
 ) -> IncipientTransaction | str:
     """Walk candidates nearest-interval first, each taking its conditional chance.
 
     Candidate i is accepted with probability w_i / (1 - sum of earlier
-    weights), which reproduces the plain Born marginals.  Returns
+    weights), which reproduces the plain Born marginals; one draw against
+    the hierarchy's :func:`cuts` does the whole walk.  Returns
     ``DEGENERATE`` when the interval ordering is undefined (all-photon
     layouts: every squared interval is zero).
     """
     split = cuts(ResolutionStrategy.HIERARCHY, transactions, tie_break=tie_break)
-    return DEGENERATE if split == DEGENERATE else _pick(split, rng.random())
-
-
-def resolve_step(
-    present: Sequence[IncipientTransaction], resolved_failed_mass: float, rng
-) -> IncipientTransaction | None:
-    """One resolution round over the currently present candidates.
-
-    Each candidate wins with weight w_i / m where m is the probability mass
-    not yet burned by earlier failures; with probability 1 - sum(w_i)/m no
-    transaction forms yet (``None``).  Placing a late absorber that holds
-    all remaining mass therefore makes its success certain.
-    """
-    return _pick(cuts(ResolutionStrategy.SEQUENTIAL, present, resolved_failed_mass), rng.random())
+    if split == DEGENERATE:
+        return DEGENERATE
+    ordered, points, _residual = split
+    return ordered[bisect.bisect_right(points, rng.random())]
 
 
 class EventKind(str, enum.Enum):

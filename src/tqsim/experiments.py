@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 import numpy as np
 
 from .engine import (
+    NO_OUTCOME,
     Always,
     CoinOutcome,
     ResolutionStrategy,
@@ -188,12 +189,6 @@ class ExperimentSpec:
     rules: tuple[ContingencyRule, ...] = ()
     coin: CoinConfig | None = None
     screen: ScreenModel | None = None
-
-    def absorber(self, absorber_id: str) -> AbsorberConfig:
-        for a in self.absorbers:
-            if a.id == absorber_id:
-                return a
-        raise KeyError(f"unknown absorber {absorber_id!r}")
 
     def bin_channels(self) -> frozenset[str]:
         return frozenset(self.screen.bin_labels()) if self.screen else frozenset()
@@ -751,8 +746,6 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
     except ValueError as e:
         problems.append(str(e))
     else:
-        from .engine import NO_OUTCOME
-
         for leaf in program.leaves:
             if leaf.outcome == NO_OUTCOME and leaf.probability > 1e-9:
                 branch = ",".join(leaf.conditions) or "root"
@@ -786,7 +779,7 @@ def run_trial(
 def initial_transactions(spec: ExperimentSpec):
     """Incipient transactions the initially present absorbers would form.
 
-    Screen bins respond in the screen basis and shadow everything behind
+    Screen bins answer in the screen basis and shadow everything behind
     them; otherwise each initially present absorber answers its channel of
     the emitted state.  Useful for poking at a layout's opening competition
     without running trials.

@@ -10,7 +10,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -203,30 +203,6 @@ def visibility(values: Sequence[float], smooth_window: int = 1) -> float:
     hi = float(vals.max())
     lo = float(vals.min())
     return (hi - lo) / (hi + lo)
-
-
-@dataclass(frozen=True, slots=True)
-class ComparisonReport:
-    passed: bool
-    tolerance: float
-    deviations: dict[str, float]
-
-
-def compare_to_expected(
-    table: FrequencyTable, expected: Mapping[str, float], tolerance: float
-) -> ComparisonReport:
-    """Per-outcome |empirical - expected| against a flat tolerance."""
-    if abs(math.fsum(expected.values()) - 1.0) > COVERAGE_ATOL:
-        raise ValueError("expected probabilities must sum to 1")
-    deviations = {}
-    for outcome in sorted(set(expected) | set(table.counts)):
-        p, _ = frequency(table, outcome)
-        deviations[outcome] = abs(p - float(expected.get(outcome, 0.0)))
-    return ComparisonReport(
-        passed=all(d <= tolerance for d in deviations.values()),
-        tolerance=tolerance,
-        deviations=deviations,
-    )
 
 
 # -- serialization ------------------------------------------------------------

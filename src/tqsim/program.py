@@ -391,7 +391,9 @@ class _Builder:
             )
 
 
-def _build(spec: xp.ExperimentSpec, strategy: ResolutionStrategy, tie_break: bool) -> TrialProgram:
+def _build(
+    spec: xp.ExperimentSpec, strategy: ResolutionStrategy, tie_break: bool = True
+) -> TrialProgram:
     return _Builder(spec, ResolutionStrategy(strategy), bool(tie_break)).build()
 
 

@@ -126,29 +126,15 @@ def _require_normalized(state: StateVector) -> None:
         raise ValueError("state not normalized")
 
 
-def born_weight(state: StateVector, observable: Observable, outcome: str) -> float:
-    """Probability weight of one outcome group: sum of |amplitude|^2 over it."""
+def complete_weights(state: StateVector, observable: Observable) -> dict[str, float]:
+    """Probability weight of every outcome group: the sum of |amplitude|^2
+    over its labels.  The weights sum to 1 within tolerance."""
     _require_partition_of(state, observable)
     _require_normalized(state)
-    group = observable.group(outcome)
-    return math.fsum((state.amp(l).conjugate() * state.amp(l)).real for l in group)
-
-
-def complete_weights(state: StateVector, observable: Observable) -> dict[str, float]:
-    """Weights for every outcome group; they sum to 1 within tolerance."""
-    return {name: born_weight(state, observable, name) for name in observable.names}
-
-
-def residual_probability(weights: Mapping[str, float], present: Iterable[str]) -> float:
-    """Probability mass left over when only some outcomes have a live absorber."""
-    total = math.fsum(weights.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError("weights do not sum to 1")
-    present = set(present)
-    unknown = present - set(weights)
-    if unknown:
-        raise KeyError(f"unknown outcomes: {sorted(unknown)}")
-    return 1.0 - math.fsum(weights[name] for name in present)
+    return {
+        name: math.fsum((state.amp(l).conjugate() * state.amp(l)).real for l in group)
+        for name, group in zip(observable.names, observable.groups)
+    }
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,6 +4,7 @@ The benchmark traces tqsim from outside by swapping module attributes, so a
 refactor that moves one of them would break traced runs without failing any
 other test.
 """
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -13,7 +14,8 @@ import pytest
 
 from tqsim import dce_spec, maudlin_spec, montecarlo, program
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def tracing_boundaries():
@@ -30,6 +32,48 @@ def traced_boundaries():
 @pytest.mark.parametrize("module_name,attr", traced_boundaries())
 def test_traced_boundary_is_a_callable_attribute(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def bench_names():
+    """(module, name) for each tqsim name the workloads and bench specs use:
+    imported from a tqsim module, or read off one as an attribute."""
+    names = set()
+    for source in ("workloads.py", "specs.py"):
+        tree = ast.parse((BENCH / source).read_text())
+        modules = {}  # local alias -> tqsim module name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "tqsim":
+                for alias in node.names:
+                    try:
+                        submodule = importlib.import_module(f"{node.module}.{alias.name}")
+                    except ModuleNotFoundError:
+                        names.add((node.module, alias.name))
+                    else:
+                        modules[alias.asname or alias.name] = submodule.__name__
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                names.add((modules[node.value.id], node.attr))
+    return sorted(names)
+
+
+def test_bench_names_cover_the_spec_builders():
+    experiments = {
+        "dce_coinflip_spec", "dce_spec", "DceMode", "maudlin_spec", "miller_spec",
+        "ScreenModel", "AbsorberConfig", "ExperimentSpec",
+        "spec_to_document", "load_spec", "validate_spec",
+    }
+    expected = {("tqsim.experiments", n) for n in experiments}
+    expected.add(("tqsim.program", "outcome_distribution"))
+    assert expected <= set(bench_names())
+
+
+@pytest.mark.parametrize("module_name,attr", bench_names())
+def test_bench_name_exists(module_name, attr):
+    assert hasattr(importlib.import_module(module_name), attr)
 
 
 def test_compile_cache_can_be_cleared():

@@ -1,4 +1,4 @@
-"""Tests for wave bookkeeping, resolution strategies, and the trial audit."""
+"""Tests for candidate formation, the split rule, resolution, and the trial audit."""
 import bisect
 import math
 
@@ -13,13 +13,11 @@ from tqsim import (
     AbsorberConfig,
     Always,
     CoinOutcome,
-    ConfirmationWave,
     EmitterState,
     EventKind,
     ExperimentSpec,
     IncipientTransaction,
     LedgerEvent,
-    OfferWave,
     SpacetimePoint,
     StrategyError,
     TransactionFailed,
@@ -27,14 +25,11 @@ from tqsim import (
     TrialLedger,
     check_bilking,
     compile_program,
+    confirm,
     cuts,
-    form_incipient,
     initial_transactions,
     record_emitter_state,
-    resolve_global,
     resolve_hierarchy,
-    resolve_step,
-    respond,
     sort_by_interval,
     spacetime_interval2,
     trigger_satisfied,
@@ -46,15 +41,27 @@ SQ = math.sqrt(0.5)
 ORIGIN = SpacetimePoint(0.0, 0.0)
 
 
-def half_half_offer():
-    state = StateVector(("R", "L"), (complex(SQ), complex(SQ)))
-    return OfferWave.from_mapping(ORIGIN, state, {"R": "A", "L": "B"})
+def half_half_state():
+    return StateVector(("R", "L"), (complex(SQ), complex(SQ)))
 
 
 def tx(absorber, weight, interval2, t=1.0, channel=None):
     return IncipientTransaction(
         channel or absorber, absorber, weight, interval2, SpacetimePoint(t, 0.0)
     )
+
+
+def owner(split, u):
+    """Absorber whose slice of a :func:`cuts` split holds ``u``, or None for
+    the residual slice (no transaction)."""
+    ordered, points, _residual = split
+    i = bisect.bisect_right(points, u)
+    return ordered[i].absorber if i < len(ordered) else None
+
+
+def step(present, burned, u):
+    """Winner of one sequential round drawing ``u`` after ``burned`` failed."""
+    return owner(cuts("sequential", present, burned), u)
 
 
 # -- geometry -----------------------------------------------------------------
@@ -76,102 +83,67 @@ def test_interval2_rejects_backwards_absorption():
         spacetime_interval2(SpacetimePoint(1.0, 0.0), SpacetimePoint(0.5, 0.0))
 
 
-# -- offer and confirmation waves ---------------------------------------------
+# -- confirmation -------------------------------------------------------------
 
 def test_offer_wave_targets():
-    ow = half_half_offer()
-    assert ow.target_of("R") == "A"
-    assert ow.channel_of("B") == "L"
-    with pytest.raises(KeyError):
-        ow.target_of("up")
-    with pytest.raises(KeyError, match="not targeted"):
-        ow.channel_of("C")
+    # Each responder answers the channel it sits on, whatever order it comes in.
+    at = SpacetimePoint(1.0, 0.5)
+    txs = confirm(ORIGIN, half_half_state(), [("B", "L", at), ("A", "R", at)])
+    assert [(t.channel, t.absorber) for t in txs] == [("R", "A"), ("L", "B")]
 
 
 def test_offer_wave_untargeted_channel_allowed():
-    state = StateVector(("R", "L"), (complex(SQ), complex(SQ)))
-    ow = OfferWave.from_mapping(ORIGIN, state, {"R": "A"})
-    assert ow.target_of("L") is None
-
-
-def test_offer_wave_must_cover_channels():
-    state = StateVector(("R", "L"), (complex(SQ), complex(SQ)))
-    with pytest.raises(ValueError, match="cover exactly"):
-        OfferWave(ORIGIN, state, (("R", "A"),))
-
-
-def test_offer_wave_rejects_shared_absorber():
-    state = StateVector(("R", "L"), (complex(SQ), complex(SQ)))
-    with pytest.raises(ValueError, match="at most one channel"):
-        OfferWave(ORIGIN, state, (("R", "A"), ("L", "A")))
-
-
-def test_respond_conjugates_amplitude():
-    ow = half_half_offer()
-    cw = respond(ow, "A")
-    assert cw.channel == "R"
-    assert cw.amp == complex(SQ)
-
-    state = StateVector(("A", "B"), (0.6, 0.8j))
-    ow2 = OfferWave.from_mapping(ORIGIN, state, {"B": "D"})
-    assert respond(ow2, "D").amp == -0.8j
-
-
-def test_respond_default_location_is_emission():
-    ow = half_half_offer()
-    assert respond(ow, "A").returned_at == ORIGIN
+    # A channel no absorber answers, or one the offer leaves empty, forms no
+    # candidate.
     at = SpacetimePoint(1.0, 0.5)
-    assert respond(ow, "A", at=at).returned_at == at
+    assert [t.absorber for t in confirm(ORIGIN, half_half_state(), [("A", "R", at)])] == ["A"]
+    state = StateVector(("R", "M", "L"), (0.6, 0.0, 0.8))
+    txs = confirm(ORIGIN, state, [("B", "L", at), ("Z", "M", at), ("A", "R", at)])
+    assert [t.absorber for t in txs] == ["A", "B"]
 
 
 def test_form_incipient_weight_is_squared_modulus():
-    ow = half_half_offer()
-    t = form_incipient(ow, respond(ow, "A", at=SpacetimePoint(1.0, 0.5)))
-    assert t.absorber == "A"
+    at = SpacetimePoint(1.0, 0.5)
+    (t,) = confirm(ORIGIN, half_half_state(), [("A", "R", at)])
+    assert (t.channel, t.absorber, t.absorbed_at) == ("R", "A", at)
     assert t.weight == pytest.approx(0.5, abs=1e-12)
     assert t.interval2 == pytest.approx(0.75, abs=1e-12)
 
     state = StateVector(("A", "B"), (0.6, 0.8j))
-    ow2 = OfferWave.from_mapping(ORIGIN, state, {"B": "D"})
-    t2 = form_incipient(ow2, respond(ow2, "D", at=SpacetimePoint(1.0, 0.0)))
+    (t2,) = confirm(ORIGIN, state, [("D", "B", SpacetimePoint(1.0, 0.0))])
     assert t2.weight == pytest.approx(0.64, abs=1e-12)
 
 
-def test_form_incipient_rejects_tampered_confirmation():
-    ow = half_half_offer()
-    bad = ConfirmationWave("R", "A", 0.9 + 0j, ORIGIN)
-    with pytest.raises(ValueError, match="does not conjugate"):
-        form_incipient(ow, bad)
-
-
 def test_form_incipient_geometry_override():
-    ow = half_half_offer()
-    cw = respond(ow, "A")
-    t = form_incipient(ow, cw, geometry=(ORIGIN, SpacetimePoint(2.0, 1.0)))
+    # The interval runs from the emission to the responder's absorption point.
+    at = SpacetimePoint(2.0, 1.0)
+    (t,) = confirm(ORIGIN, half_half_state(), [("A", "R", at)])
     assert t.interval2 == 3.0
-    assert t.absorbed_at == SpacetimePoint(2.0, 1.0)
+    assert t.absorbed_at == at
 
 
 # -- single-round strategies --------------------------------------------------
 
 def test_resolve_global_walks_the_cdf():
     txs = [tx("A", 0.36, 1.0), tx("B", 0.64, 4.0)]
-    assert resolve_global(txs, FakeRng([0.3])).absorber == "A"
-    assert resolve_global(txs, FakeRng([0.36])).absorber == "B"
-    assert resolve_global(txs, FakeRng([0.99])).absorber == "B"
+    split = cuts("global-echo", txs)
+    assert split == (tuple(txs), (0.36,), 0.0)
+    assert owner(split, 0.3) == "A"
+    assert owner(split, 0.36) == "B"
+    assert owner(split, 0.99) == "B"
 
 
 def test_resolve_global_single_draw():
-    rng = FakeRng([0.1])
-    resolve_global([tx("A", 0.5, 1.0), tx("B", 0.5, 2.0)], rng)
-    assert rng.unused == 0
+    program = compile_program(competition([0.5, 0.5], 0.0, 0.0), "global-echo")
+    assert program.draws == 1
+    assert [leaf.outcome for leaf in program.leaves] == ["D0", "D1"]
 
 
 def test_resolve_global_needs_complete_coverage():
     with pytest.raises(StrategyError, match="complete absorber coverage"):
-        resolve_global([tx("A", 0.5, 1.0)], FakeRng([0.1]))
+        cuts("global-echo", [tx("A", 0.5, 1.0)])
     with pytest.raises(StrategyError, match="complete absorber coverage"):
-        resolve_global([], FakeRng([0.1]))
+        cuts("global-echo", [])
 
 
 def test_sort_by_interval_orders_ascending():
@@ -218,32 +190,32 @@ def test_resolve_hierarchy_needs_complete_coverage():
 
 def test_resolve_step_partial_coverage():
     present = [tx("A", 0.5, 0.75)]
-    assert resolve_step(present, 0.0, FakeRng([0.25])).absorber == "A"
-    assert resolve_step(present, 0.0, FakeRng([0.5])) is None
-    assert resolve_step(present, 0.0, FakeRng([0.75])) is None
+    assert step(present, 0.0, 0.25) == "A"
+    assert step(present, 0.0, 0.5) is None
+    assert step(present, 0.0, 0.75) is None
 
 
 def test_resolve_step_late_absorber_is_certain():
     # After a failed 0.5, a candidate holding the remaining 0.5 always wins.
     present = [tx("B", 0.5, 3.0)]
-    assert resolve_step(present, 0.5, FakeRng([0.0])).absorber == "B"
-    assert resolve_step(present, 0.5, FakeRng([0.999999])).absorber == "B"
+    assert step(present, 0.5, 0.0) == "B"
+    assert step(present, 0.5, 0.999999) == "B"
 
 
 def test_resolve_step_splits_remaining_mass():
     present = [tx("B", 0.25, 1.0), tx("C", 0.25, 2.0)]
-    assert resolve_step(present, 0.5, FakeRng([0.49])).absorber == "B"
-    assert resolve_step(present, 0.5, FakeRng([0.51])).absorber == "C"
+    assert step(present, 0.5, 0.49) == "B"
+    assert step(present, 0.5, 0.51) == "C"
 
 
 def test_resolve_step_exhausted_mass():
     with pytest.raises(StrategyError, match="probability mass exhausted"):
-        resolve_step([tx("A", 0.1, 1.0)], 1.0, FakeRng([0.1]))
+        cuts("sequential", [tx("A", 0.1, 1.0)], 1.0)
 
 
 def test_resolve_step_overweight_candidates():
     with pytest.raises(StrategyError, match="exceeds the remaining"):
-        resolve_step([tx("A", 0.6, 1.0)], 0.5, FakeRng([0.1]))
+        cuts("sequential", [tx("A", 0.6, 1.0)], 0.5)
 
 
 # -- emitter states and triggers ----------------------------------------------
@@ -433,12 +405,14 @@ complex_amps = st.tuples(
 def test_confirmation_always_conjugates(a, b):
     assume(abs(a) ** 2 + abs(b) ** 2 > 1e-6)
     state = normalize(StateVector(("R", "L"), (a, b)))
-    ow = OfferWave.from_mapping(ORIGIN, state, {"R": "A", "L": "B"})
-    for absorber, channel in (("A", "R"), ("B", "L")):
-        cw = respond(ow, absorber)
-        assert cw.amp == state.amp(channel).conjugate()
-        t = form_incipient(ow, cw)
-        assert t.weight == pytest.approx(abs(state.amp(channel)) ** 2, rel=1e-12, abs=1e-15)
+    at = SpacetimePoint(1.0, 0.0)
+    txs = confirm(ORIGIN, state, [("A", "R", at), ("B", "L", at)])
+    assert [t.channel for t in txs] == [ch for ch, amp in zip(state.labels, state.amps) if amp != 0]
+    for t in txs:
+        amp = state.amp(t.channel)
+        # Offer times its conjugate confirmation: exactly re^2 + im^2.
+        assert t.weight == amp.real * amp.real + amp.imag * amp.imag
+        assert t.weight == pytest.approx(abs(amp) ** 2, rel=1e-12, abs=1e-15)
         assert t.weight >= 0.0
 
 
@@ -450,10 +424,9 @@ def test_global_resolution_matches_cdf_inversion(raw, u):
     total = math.fsum(raw)
     weights = [w / total for w in raw]
     txs = [tx(f"D{i}", w, float(i + 1)) for i, w in enumerate(weights)]
-    winner = resolve_global(txs, FakeRng([u]))
     cum = [math.fsum(t.weight for t in txs[: i + 1]) for i in range(len(txs))]
     expect = min(int(np.searchsorted(cum, u, side="right")), len(txs) - 1)
-    assert winner.absorber == f"D{expect}"
+    assert owner(cuts("global-echo", txs), u) == f"D{expect}"
 
 
 @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5), st.floats(0.0, 1.0, exclude_max=True))
@@ -465,18 +438,17 @@ def test_step_resolution_matches_running_sum(raw, u):
     # half must come out as the residual (None) branch.
     total = math.fsum(raw) * 2.0
     present = [tx(f"D{i}", w / total, float(i + 1)) for i, w in enumerate(raw)]
-    out = resolve_step(present, 0.0, FakeRng([u]))
     # Each slice ends at the exact (fsum) prefix sum of the weights, so
     # rounding does not build up along the list.
     expect = None
     for i, t in enumerate(present):
         if u < math.fsum(p.weight for p in present[: i + 1]) / 1.0:
-            expect = t
+            expect = t.absorber
             break
-    assert out is expect
+    assert step(present, 0.0, u) == expect
 
 
-# -- resolvers against the compiled tree --------------------------------------
+# -- the split rule against the compiled tree ---------------------------------
 
 def competition(weights, burned, void):
     """Candidates D0.. with Born weights ``weights``, all absorbing at t=2 at
@@ -523,11 +495,8 @@ def test_resolvers_pick_what_the_tree_picks(strategy, raw, burned, residual, dat
         draws.append(st.sampled_from([c for p in cut_points for c in (p, math.nextafter(p, 0.0))]))
     u = data.draw(st.one_of(*draws))
     candidates = [txs[f"D{i}"] for i in range(len(weights))]
-    if strategy == "sequential":
-        got = resolve_step(candidates, failed, FakeRng([u]))
-    elif strategy == "global-echo":
-        got = resolve_global(candidates, FakeRng([u]))
-    else:
-        got = resolve_hierarchy(candidates, FakeRng([u]))
-    assert (got.absorber if got is not None else None) == tree_pick(node, u)
-    assert cut_points == cuts(strategy, candidates, failed)[1]
+    split = cuts(strategy, candidates, failed)
+    assert owner(split, u) == tree_pick(node, u)
+    assert cut_points == split[1]
+    if strategy == "hierarchy":
+        assert resolve_hierarchy(candidates, FakeRng([u])).absorber == tree_pick(node, u)

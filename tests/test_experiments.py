@@ -72,16 +72,14 @@ def test_builtins_validate_clean(name):
 
 def test_maudlin_layout():
     spec = maudlin_spec()
-    a = spec.absorber("A")
-    b = spec.absorber("B")
+    a, b = spec.absorbers
+    assert (a.id, b.id) == ("A", "B")
     assert a.initially_present and not b.initially_present
     assert (a.channel, b.channel) == ("R", "L")
     rule = spec.rules[0]
     assert rule.trigger == TransactionFailed("A", 1.0)
     assert rule.action == PlaceAbsorber("B", "L", SpacetimePoint(2.0, -1.0))
     assert rule.time == 2.0
-    with pytest.raises(KeyError):
-        spec.absorber("Z")
 
 
 def test_maudlin_legs_are_timelike():
@@ -99,7 +97,7 @@ def test_miller_legs_are_lightlike():
         assert t.interval2 == 0.0
         assert t.weight == pytest.approx(0.5, abs=1e-12)
     # The divert target is lightlike too.
-    bp = spec.absorber("B_prime")
+    (bp,) = [a for a in spec.absorbers if a.id == "B_prime"]
     assert bp.position.t ** 2 - bp.position.x ** 2 == 0.0
 
 
@@ -469,13 +467,16 @@ def test_validate_retro_placement_message():
 
 
 def test_validate_trigger_time_must_match_absorption():
-    rule = ContingencyRule(
-        TransactionFailed("A", 1.5),
-        PlaceAbsorber("B", "L", SpacetimePoint(2.0, -1.0)),
-        2.0,
-    )
-    spec = replace(maudlin_spec(), rules=(rule,))
-    assert "rule 0 trigger expects t=1.5 but 'A' resolves at t=1.0" in validate_spec(spec)
+    # Trigger times are matched exactly, so one ulp past the absorption is
+    # refused as surely as half a time unit.
+    for t, shown in ((1.5, "1.5"), (math.nextafter(1.0, 2.0), "1.0000000000000002")):
+        rule = ContingencyRule(
+            TransactionFailed("A", t),
+            PlaceAbsorber("B", "L", SpacetimePoint(2.0, -1.0)),
+            2.0,
+        )
+        spec = replace(maudlin_spec(), rules=(rule,))
+        assert f"rule 0 trigger expects t={shown} but 'A' resolves at t=1.0" in validate_spec(spec)
 
 
 def test_validate_trigger_unknown_absorber():
@@ -639,6 +640,24 @@ def test_every_call_form_shares_one_compiled_tree():
         assert run_trial(spec, "sequential", FakeRng([0.7])) in forms[0].leaves
     finally:
         compile_program.cache_clear()
+
+
+def test_uncached_compile_takes_the_default_tie_break():
+    def leaves(program):
+        return [
+            (leaf.outcome, leaf.coin_outcome, leaf.ledger, leaf.conditions,
+             leaf.probability, leaf.violations)
+            for leaf in program.leaves
+        ]
+
+    spec = maudlin_spec()
+    cached = compile_program(spec, "sequential")
+    for fresh in (
+        compile_program.__wrapped__(spec, "sequential"),
+        compile_program.__wrapped__(spec, "sequential", True),
+    ):
+        assert fresh is not cached
+        assert leaves(fresh) == leaves(cached)
 
 
 def test_trial_contingent_placement():

@@ -18,7 +18,6 @@ from tqsim import (
     ResolutionStrategy,
     RunConfig,
     builtin_spec,
-    compare_to_expected,
     compile_program,
     conditional_frequency,
     dce_spec,
@@ -344,26 +343,6 @@ def test_visibility_validation():
         visibility([1.0, 2.0, 3.0], smooth_window=2)
     with pytest.raises(ValueError, match="all-zero"):
         visibility([0.0, 0.0, 0.0])
-
-
-def test_compare_to_expected():
-    table = table_of({"A": 4980, "B": 5020})
-    report = compare_to_expected(table, {"A": 0.5, "B": 0.5}, tolerance=0.005)
-    assert report.passed
-    assert report.deviations["A"] == pytest.approx(0.002, abs=1e-12)
-
-    tight = compare_to_expected(table, {"A": 0.5, "B": 0.5}, tolerance=0.001)
-    assert not tight.passed
-
-    skewed = compare_to_expected(table, {"A": 1.0}, tolerance=0.1)
-    assert not skewed.passed
-    assert set(skewed.deviations) == {"A", "B"}
-
-
-def test_compare_to_expected_requires_unit_mass():
-    table = table_of({"A": 1})
-    with pytest.raises(ValueError, match="must sum to 1"):
-        compare_to_expected(table, {"A": 0.6}, tolerance=0.1)
 
 
 def test_histogram_probabilities():

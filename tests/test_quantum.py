@@ -7,14 +7,15 @@ from hypothesis import assume, given, strategies as st
 from tqsim import (
     Observable,
     PrePostEnsemble,
+    SpacetimePoint,
     StateVector,
     abl_probability,
-    born_weight,
     complete_weights,
+    confirm,
+    cuts,
     inner_product,
     normalize,
     rebase,
-    residual_probability,
 )
 
 SQ = math.sqrt(0.5)
@@ -123,32 +124,31 @@ class TestObservable:
 class TestBornWeight:
     def test_half_half(self):
         s = StateVector(("R", "L"), (complex(SQ), complex(SQ)))
-        assert born_weight(s, Observable.per_label(s.labels), "R") == pytest.approx(0.5, abs=1e-12)
+        assert complete_weights(s, Observable.per_label(s.labels))["R"] == pytest.approx(0.5, abs=1e-12)
 
     def test_eigenstate(self):
         s = StateVector(("R", "L"), (1.0, 0.0))
         obs = Observable.per_label(s.labels)
-        assert born_weight(s, obs, "R") == 1.0
-        assert born_weight(s, obs, "L") == 0.0
+        assert complete_weights(s, obs) == {"R": 1.0, "L": 0.0}
 
     def test_complex_amplitude(self):
         s = StateVector(("A", "B"), (0.6, 0.8j))
-        assert born_weight(s, Observable.per_label(s.labels), "B") == pytest.approx(0.64, abs=1e-12)
+        assert complete_weights(s, Observable.per_label(s.labels))["B"] == pytest.approx(0.64, abs=1e-12)
 
     def test_group_weight_adds_members(self):
         s = normalize(StateVector(("a", "b", "c"), (1.0, 1.0, 1.0)))
         obs = Observable.from_groups({"ab": ("a", "b"), "c": ("c",)})
-        assert born_weight(s, obs, "ab") == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert complete_weights(s, obs)["ab"] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_partition_must_cover_basis(self):
         s = StateVector(("A", "B"), (0.6, 0.8))
         with pytest.raises(ValueError, match="does not partition"):
-            born_weight(s, Observable.per_label(("A",)), "A")
+            complete_weights(s, Observable.per_label(("A",)))
 
     def test_unnormalized_state_rejected(self):
         s = StateVector(("A", "B"), (1.0, 1.0))
         with pytest.raises(ValueError, match="not normalized"):
-            born_weight(s, Observable.per_label(s.labels), "A")
+            complete_weights(s, Observable.per_label(s.labels))
 
 
 class TestCompleteWeights:
@@ -162,24 +162,23 @@ class TestCompleteWeights:
 
 
 class TestResidualProbability:
+    # The mass no present absorber claims is the residual slice of the
+    # sequential split over the candidates the state confirms.
+    def residual(self, state, present):
+        at = SpacetimePoint(1.0, 0.0)
+        txs = confirm(SpacetimePoint(0.0, 0.0), state, [(ch, ch, at) for ch in present])
+        return cuts("sequential", txs)[2]
+
     def test_partial_coverage(self):
-        w = {"A": 0.5, "B": 0.25, "C": 0.25}
-        assert residual_probability(w, ("B", "C")) == pytest.approx(0.5, abs=1e-12)
+        s = StateVector(("A", "B", "C"), (complex(SQ), 0.5, 0.5))
+        assert self.residual(s, ("B", "C")) == pytest.approx(0.5, abs=1e-12)
 
     def test_full_coverage_leaves_nothing(self):
-        w = {"A": 0.5, "B": 0.5}
-        assert residual_probability(w, ("A", "B")) == pytest.approx(0.0, abs=1e-12)
+        s = StateVector(("A", "B"), (complex(SQ), complex(SQ)))
+        assert self.residual(s, ("A", "B")) == 0.0
 
     def test_nobody_present(self):
-        assert residual_probability({"A": 1.0}, ()) == 1.0
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            residual_probability({"A": 0.5}, ())
-
-    def test_unknown_outcome(self):
-        with pytest.raises(KeyError, match="unknown outcomes"):
-            residual_probability({"A": 1.0}, ("B",))
+        assert self.residual(StateVector(("A",), (1.0,)), ()) == 1.0
 
 
 class TestAblProbability:
@@ -232,7 +231,7 @@ class TestRebase:
         assert s.labels == ("+x", "-x")
         assert s.amp("+x") == pytest.approx(SQ, abs=1e-15)
         assert s.amp("-x") == pytest.approx(SQ, abs=1e-15)
-        assert born_weight(s, Observable.per_label(s.labels), "+x") == pytest.approx(0.5, abs=1e-12)
+        assert complete_weights(s, Observable.per_label(s.labels))["+x"] == pytest.approx(0.5, abs=1e-12)
 
 
 # -- property-based checks ----------------------------------------------------
@@ -264,7 +263,7 @@ def test_coarse_grouping_adds_fine_weights(state):
     coarse = Observable.from_groups(
         {"front": state.labels[:2], "back": state.labels[2:]}
     )
-    front = born_weight(state, coarse, "front")
+    front = complete_weights(state, coarse)["front"]
     assert front == pytest.approx(fine["c0"] + fine["c1"], abs=1e-12)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -124,13 +123,6 @@ def cmd_abl(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SIM_DEFAULT_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 class _Parser(argparse.ArgumentParser):
     # Usage problems exit 1; code 2 is reserved for failed consistency audits.
     def error(self, message: str):
@@ -164,9 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--workers",
         type=int,
-        default=_default_workers(),
-        help="worker threads, capped at the chunk and CPU counts "
-        "(default from SIM_DEFAULT_WORKERS, else 1)",
+        default=1,
+        help="worker threads, capped at the chunk and CPU counts (default 1)",
     )
     p_run.add_argument("--out", help="directory for results.json (and histogram.csv)")
     p_run.add_argument("--format", choices=("json", "csv"), default="json", help="stdout format")

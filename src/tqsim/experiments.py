@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -26,11 +26,9 @@ from .engine import (
     TransactionSucceeded,
     Trigger,
     confirm,
+    spacetime_interval2,
 )
 from .quantum import StateVector, normalize
-
-if TYPE_CHECKING:
-    from .program import Leaf
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -716,6 +714,16 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
                     f"rule {i} puts {aid!r} in front of the screen arrival at t={screen_time}"
                 )
 
+    # A NaN or infinite squared interval would rank its candidate anywhere
+    # under hierarchy.  A non-finite time is refused on its own, at compile.
+    points = [(f"absorber {a.id!r}", a.position) for a in spec.absorbers]
+    points += [(f"rule {i} placement", r.action.position) for i, r in enumerate(spec.rules)
+               if not isinstance(r.action, RemoveScreen)]
+    for where, at in points:
+        timed = math.isfinite(at.t) and at.t > spec.emission.t
+        if timed and not math.isfinite(spacetime_interval2(spec.emission, at)):
+            problems.append(f"{where}: squared interval from the emission is not finite")
+
     if spec.screen is not None and screen_time is not None:
         for a in spec.absorbers:
             if a.channel not in bin_channels and a.position.t <= screen_time:
@@ -755,43 +763,19 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
     return problems
 
 
-# -- execution entry points ---------------------------------------------------
+# -- answering basis ----------------------------------------------------------
 
 
-def run_trial(
-    spec: ExperimentSpec,
-    strategy: ResolutionStrategy | str,
-    rng,
-    *,
-    hierarchy_tie_break: bool = True,
-) -> Leaf:
-    """Run a single trial, drawing from ``rng`` once per resolution event.
-
-    The trial's record is the tree leaf it lands on: outcome, coin face,
-    ledger, exact branch probability and audit result.
-    """
-    from .program import compile_program
-
-    program = compile_program(spec, ResolutionStrategy(strategy), hierarchy_tie_break)
-    return program.run(rng)
+def answer(spec: ExperimentSpec, responders: list[tuple[str, str, SpacetimePoint]]):
+    """Incipient transactions formed by (absorber, channel, absorption point)
+    responders answering together: screen bins answer in the screen basis,
+    anything else its channel of the emitted state.  A responder whose channel
+    the basis lacks (a telescope behind a standing screen) forms none."""
+    on_screen = not spec.bin_channels().isdisjoint(ch for _aid, ch, _at in responders)
+    basis = screen_amplitudes(spec.screen, spec.initial_state) if on_screen else spec.initial_state
+    return confirm(spec.emission, basis, responders)
 
 
 def initial_transactions(spec: ExperimentSpec):
-    """Incipient transactions the initially present absorbers would form.
-
-    Screen bins answer in the screen basis and shadow everything behind
-    them; otherwise each initially present absorber answers its channel of
-    the emitted state.  Useful for poking at a layout's opening competition
-    without running trials.
-    """
-    bin_channels = spec.bin_channels()
-    present = [a for a in spec.absorbers if a.initially_present]
-    if spec.screen is not None and any(a.channel in bin_channels for a in present):
-        basis = screen_amplitudes(spec.screen, spec.initial_state)
-    else:
-        basis = spec.initial_state
-    return confirm(
-        spec.emission,
-        basis,
-        [(a.id, a.channel, a.position) for a in present if a.channel in basis.labels],
-    )
+    """Incipient transactions the initially present absorbers would form."""
+    return answer(spec, [(a.id, a.channel, a.position) for a in spec.absorbers if a.initially_present])

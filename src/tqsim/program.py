@@ -32,7 +32,6 @@ from .engine import (
     TransactionSucceeded,
     TrialLedger,
     check_bilking,
-    confirm,
     cuts,
     record_emitter_state,
     split_unit,
@@ -96,14 +95,13 @@ class _Walk:
 
     time: float
     present: dict[str, tuple[str, SpacetimePoint]]
-    fired: set[int] = field(default_factory=set)
-    failed: list[float] = field(default_factory=list)
     expended: set[str] = field(default_factory=set)
     draws: int = 0
     prob: float = 1.0
     events: list[LedgerEvent] = field(default_factory=list)
     # Every candidate confirmed on this branch; the fixed strategies let
     # them all compete in one round once the branch has run its course.
+    # Under sequential resolution every round before the latest has failed.
     offered: list[IncipientTransaction] = field(default_factory=list)
     conditions: list[str] = field(default_factory=list)
 
@@ -111,8 +109,6 @@ class _Walk:
         return _Walk(
             self.time,
             dict(self.present),
-            set(self.fired),
-            list(self.failed),
             set(self.expended),
             self.draws,
             self.prob,
@@ -129,9 +125,6 @@ class _Builder:
         self.tie_break = tie_break
         self.bin_channels = spec.bin_channels()
         self.state_channels = set(spec.initial_state.labels)
-        self.screen_state = (
-            xp.screen_amplitudes(spec.screen, spec.initial_state) if spec.screen else None
-        )
         self.bin_index = (
             {label: i for i, label in enumerate(spec.screen.bin_labels())} if spec.screen else {}
         )
@@ -185,14 +178,16 @@ class _Builder:
     def _next_event(self, walk: _Walk) -> tuple[float, int, list[int]] | None:
         """(time, kind, rules firing then) of the earliest event still to come
         on the branch, or None when it has run its course.  A rule is due
-        once its trigger is on the branch's record and it has not fired."""
+        once its trigger is on the branch's record and it has not fired: each
+        fired rule leaves one apparatus event carrying its index."""
         rules = self.spec.rules
         candidates = []
         if self.spec.coin is not None and _coin_face(walk.events) is None:
             candidates.append((self.spec.coin.flip_time, _COIN, []))
+        fired = {e.rule_index for e in walk.events if e.rule_index is not None}
         due = [
             i for i, rule in enumerate(rules)
-            if i not in walk.fired and trigger_satisfied(rule.trigger, walk.events)
+            if i not in fired and trigger_satisfied(rule.trigger, walk.events)
         ]
         if due:
             at = min(rules[i].time for i in due)
@@ -214,7 +209,9 @@ class _Builder:
             if kind == _ACTIONS:
                 self._apply_actions_at(walk, t, due)
             elif (txs := self._absorb_event(walk, t)) and sequential:
-                return self._resolve(walk, cuts(self.strategy, txs, math.fsum(walk.failed)))
+                # Every candidate offered before these has failed on this branch.
+                burned = math.fsum(tx.weight for tx in walk.offered[: -len(txs)])
+                return self._resolve(walk, cuts(self.strategy, txs, burned))
         if sequential:
             return self._leaf(walk, NO_OUTCOME, terminal=EventKind.NO_TRANSACTION)
         split = cuts(self.strategy, walk.offered, tie_break=self.tie_break)
@@ -269,7 +266,6 @@ class _Builder:
         def settle(i: int, child: _Walk) -> Node | Leaf:
             if i == len(ordered):
                 self._record_failures(child, ordered)
-                child.failed.extend(tx.weight for tx in ordered)
                 return self._grow(child)
             # The hierarchy walk stops at its winner, so only nearer
             # candidates were tried and failed.
@@ -280,7 +276,6 @@ class _Builder:
 
     def _apply_actions_at(self, walk: _Walk, t: float, due: list[int]) -> None:
         """Fire the due rules, in rule-index order, at time ``t``."""
-        walk.fired.update(due)
         for ridx in due:
             action = self.spec.rules[ridx].action
             if isinstance(action, xp.RemoveScreen):
@@ -315,13 +310,9 @@ class _Builder:
             if ch not in walk.expended:
                 responding.append((aid, ch, pos))
         screen_event = any(ch in self.bin_channels for _, ch, _pos in responding)
-        if screen_event:
-            if any(ch not in self.bin_channels for _, ch, _pos in responding):
-                raise ValueError("screen and direct absorbers share an absorption event")
-            basis = self.screen_state
-        else:
-            basis = self.spec.initial_state
-        txs = confirm(self.spec.emission, basis, responding)
+        if screen_event and any(ch not in self.bin_channels for _, ch, _pos in responding):
+            raise ValueError("screen and direct absorbers share an absorption event")
+        txs = xp.answer(self.spec, responding)
         for tx in txs:
             walk.events.append(
                 LedgerEvent(EventKind.CW, t, absorber=tx.absorber, channel=tx.channel, weight=tx.weight)

@@ -7,12 +7,13 @@ other test.
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tqsim import dce_spec, maudlin_spec, montecarlo, program
+from tqsim import ResolutionStrategy, dce_spec, experiments, maudlin_spec, montecarlo, program
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -74,6 +75,22 @@ def test_bench_names_cover_the_spec_builders():
 @pytest.mark.parametrize("module_name,attr", bench_names())
 def test_bench_name_exists(module_name, attr):
     assert hasattr(importlib.import_module(module_name), attr)
+
+
+def test_positional_call_forms_the_benchmark_uses():
+    # The workloads pass these arguments by position; pin how they bind.
+    spec, strategy = maudlin_spec(), ResolutionStrategy.SEQUENTIAL
+    config = montecarlo.RunConfig(10, 1, strategy, 2)
+    assert (config.n_trials, config.seed, config.strategy, config.workers) == (10, 1, strategy, 2)
+    assert program.compile_program(spec, strategy, True) is program.compile_program(spec, strategy)
+    assert program.outcome_distribution(spec, strategy) == pytest.approx({"A": 0.5, "B": 0.5})
+    text = json.dumps(experiments.spec_to_document(spec))
+    assert experiments.load_spec(text, validate=False) == spec
+    table, report = montecarlo.run_experiment(spec, config)
+    payload = montecarlo.run_payload(spec, config, table, report)
+    assert (payload["experiment"], payload["strategy"], payload["trials"], payload["seed"]) == (
+        "maudlin", "sequential", 10, 1
+    )
 
 
 def test_compile_cache_can_be_cleared():

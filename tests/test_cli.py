@@ -10,7 +10,7 @@ import pytest
 
 import tqsim
 from tqsim import dce_spec, maudlin_spec, program, spec_to_document
-from tqsim.cli import _default_workers, main
+from tqsim.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +65,29 @@ def test_validate_reports_coverage_hole(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "validate", write_doc(tmp_path, doc))
     assert code == 1
     assert "incomplete coverage on branch" in err
+
+
+@pytest.mark.parametrize(
+    "absorber,point,expected",
+    [
+        # t = x = 1e200: inf - inf, a NaN interval (B and the rule placing it).
+        (1, {"t": 1e200, "x": 1e200}, [
+            "absorber 'B': squared interval from the emission is not finite",
+            "rule 0 placement: squared interval from the emission is not finite",
+        ]),
+        # x = 1e308 at t = 1: an interval of -inf.
+        (0, {"x": 1e308}, ["absorber 'A': squared interval from the emission is not finite"]),
+    ],
+)
+def test_validate_rejects_non_finite_interval(tmp_path, capsys, absorber, point, expected):
+    doc = spec_to_document(maudlin_spec())
+    doc["absorbers"][absorber].update(point)
+    if absorber == 1:
+        doc["rules"][0]["action"].update(point)
+    code, out, err = run_cli(capsys, "validate", write_doc(tmp_path, doc))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == expected
 
 
 def test_validate_rejects_nan_time_in_bounded_time(tmp_path):
@@ -375,13 +398,3 @@ def test_abl_rejects_orthogonal_selections(capsys):
     assert code == 1
     assert "vanishing pre/post overlap" in err
 
-
-def test_default_workers_env(monkeypatch):
-    monkeypatch.delenv("SIM_DEFAULT_WORKERS", raising=False)
-    assert _default_workers() == 1
-    monkeypatch.setenv("SIM_DEFAULT_WORKERS", "3")
-    assert _default_workers() == 3
-    monkeypatch.setenv("SIM_DEFAULT_WORKERS", "garbage")
-    assert _default_workers() == 1
-    monkeypatch.setenv("SIM_DEFAULT_WORKERS", "-2")
-    assert _default_workers() == 1

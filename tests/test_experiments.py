@@ -25,6 +25,7 @@ from tqsim import (
     ExperimentSpec,
     PlaceAbsorber,
     ResolutionStrategy,
+    RunConfig,
     ScreenModel,
     SpacetimePoint,
     SpecError,
@@ -39,7 +40,8 @@ from tqsim import (
     maudlin_spec,
     miller_spec,
     resolve_hierarchy,
-    run_trial,
+    run_experiment,
+    run_payload,
     screen_amplitudes,
     screen_distribution,
     spec_to_document,
@@ -561,7 +563,7 @@ def test_unvalidated_short_coin_is_refused_at_compile():
     flip = dce_spec("coinflip")
     short = replace(flip, coin=replace(flip.coin, weights=(0.5, 0.3)))
     with pytest.raises(ValueError, match="^coin weights must sum to 1$"):
-        run_trial(short, "sequential", FakeRng([0.9, 0.5]))
+        compile_program(short, "sequential").run(FakeRng([0.9, 0.5]))
 
 
 def test_validate_coin_trigger_without_coin():
@@ -607,7 +609,7 @@ def test_validate_bin_absorbers_need_a_screen():
 
 def test_trial_direct_success():
     spec = maudlin_spec()
-    result = run_trial(spec, "sequential", FakeRng([0.3]))
+    result = compile_program(spec, "sequential").run(FakeRng([0.3]))
     assert result.outcome == "A"
     assert result.coin_outcome is None
     assert [e.kind for e in result.ledger.events] == [EventKind.CW, EventKind.SUCCESS]
@@ -617,7 +619,7 @@ def test_trial_direct_success():
 
 def test_trial_record_is_the_tree_leaf():
     spec = maudlin_spec()
-    result = run_trial(spec, "sequential", FakeRng([0.7]))
+    result = compile_program(spec, "sequential").run(FakeRng([0.7]))
     assert isinstance(result, Leaf)
     assert (result.outcome, result.coin_outcome, result.conditions) == ("B", None, ("failed:A",))
     assert result.probability == pytest.approx(0.5)
@@ -637,7 +639,7 @@ def test_every_call_form_shares_one_compiled_tree():
         ]
         assert all(form is forms[0] for form in forms)
         assert compile_program.cache_info().misses == 1
-        assert run_trial(spec, "sequential", FakeRng([0.7])) in forms[0].leaves
+        assert compile_program(spec, "sequential").run(FakeRng([0.7])) in forms[0].leaves
     finally:
         compile_program.cache_clear()
 
@@ -660,9 +662,39 @@ def test_uncached_compile_takes_the_default_tie_break():
         assert leaves(fresh) == leaves(cached)
 
 
+def test_hierarchy_without_tie_break_compiles_one_degenerate_leaf():
+    # Two lightlike legs: equal (zero) intervals, told apart only by time.
+    spec = spec_of(
+        [
+            AbsorberConfig("A", "R", SpacetimePoint(1.0, 1.0)),
+            AbsorberConfig("B", "L", SpacetimePoint(3.0, -3.0)),
+        ]
+    )
+    ranked = compile_program(spec, "hierarchy")
+    assert [(leaf.outcome, leaf.probability) for leaf in ranked.leaves] == [
+        ("A", pytest.approx(0.5)),
+        ("B", pytest.approx(0.5)),
+    ]
+
+    untied = compile_program(spec, "hierarchy", tie_break=False)
+    assert untied.draws == 0
+    (leaf,) = untied.leaves
+    assert untied.root is leaf
+    assert (leaf.outcome, leaf.probability, leaf.violations) == (DEGENERATE, 1.0, ())
+    assert [e.kind for e in leaf.ledger.events] == [
+        EventKind.CW, EventKind.CW, EventKind.DEGENERATE
+    ]
+
+    config = RunConfig(1000, 5, "hierarchy", hierarchy_tie_break=False)
+    table, report = run_experiment(spec, config)
+    assert table.counts == {DEGENERATE: 1000}
+    assert report.clean()
+    assert run_payload(spec, config, table, report)["hierarchy_tie_break"] is False
+
+
 def test_trial_contingent_placement():
     spec = maudlin_spec()
-    result = run_trial(spec, "sequential", FakeRng([0.7]))
+    result = compile_program(spec, "sequential").run(FakeRng([0.7]))
     assert result.outcome == "B"
     kinds = [e.kind for e in result.ledger.events]
     assert kinds == [
@@ -680,7 +712,7 @@ def test_trial_contingent_placement():
 
 def test_trial_diverted_channel():
     spec = miller_spec()
-    result = run_trial(spec, "sequential", FakeRng([0.7]))
+    result = compile_program(spec, "sequential").run(FakeRng([0.7]))
     assert result.outcome == "B_prime"
     kinds = [e.kind for e in result.ledger.events]
     assert EventKind.DIVERT in kinds
@@ -691,17 +723,17 @@ def test_trial_diverted_channel():
 
 def test_trial_coin_paths():
     spec = dce_spec("coinflip")
-    up = run_trial(spec, "sequential", FakeRng([0.3, 0.2]))
+    up = compile_program(spec, "sequential").run(FakeRng([0.3, 0.2]))
     assert (up.outcome, up.coin_outcome) == ("TA", "up")
-    up2 = run_trial(spec, "sequential", FakeRng([0.3, 0.9]))
+    up2 = compile_program(spec, "sequential").run(FakeRng([0.3, 0.9]))
     assert (up2.outcome, up2.coin_outcome) == ("TB", "up")
-    down = run_trial(spec, "sequential", FakeRng([0.7, 0.5]))
+    down = compile_program(spec, "sequential").run(FakeRng([0.7, 0.5]))
     assert down.coin_outcome == "down"
     assert down.outcome.startswith("bin")
 
 
 def test_trial_kept_screen_lands_in_bins():
-    result = run_trial(dce_spec("keep"), "sequential", FakeRng([0.5]))
+    result = compile_program(dce_spec("keep"), "sequential").run(FakeRng([0.5]))
     assert result.outcome.startswith("bin")
     assert result.coin_outcome is None
 
@@ -710,7 +742,7 @@ def test_trial_kept_screen_lands_in_bins():
 @pytest.mark.parametrize("strategy", ["global-echo", "hierarchy"])
 def test_single_round_strategies_reject_contingent_specs(name, strategy):
     with pytest.raises(StrategyError, match="strategy requires fixed absorber set"):
-        run_trial(builtin_spec(name), strategy, FakeRng([0.5]))
+        compile_program(builtin_spec(name), strategy).run(FakeRng([0.5]))
 
 
 def _builder_refusals():

@@ -101,7 +101,6 @@ class _Walk:
     events: list[LedgerEvent] = field(default_factory=list)
     # Every candidate confirmed on this branch; the fixed strategies let
     # them all compete in one round once the branch has run its course.
-    # Under sequential resolution every round before the latest has failed.
     offered: list[IncipientTransaction] = field(default_factory=list)
     conditions: list[str] = field(default_factory=list)
 

@@ -4,11 +4,13 @@
 recorded before the resolution arithmetic was shared between the tree
 builder and the rng resolvers.  ``LEAF_GOLDEN`` pins every field of every
 leaf (ledger, condition order, terminal-event times) of those trees and of
-three hand-built layouts; it was recorded before the builder dropped its
-second copies of the branch record.  Both pin that any later restructuring
-leaves every output byte and trial record where it was.  The six
-inadmissible pairs are covered by
-``test_single_round_strategies_reject_contingent_specs``.
+the hand-built layouts in ``HAND_BUILT_CASES``; each entry was recorded
+before the change it guards.  Both pin that any later restructuring leaves
+every output byte and trial record where it was.  The six inadmissible
+pairs are covered by ``test_single_round_strategies_reject_contingent_specs``.
+
+Run this file as a script (``PYTHONPATH=src python tests/test_golden.py``)
+to print both tables, computed from the current code, in source form.
 """
 import hashlib
 import json
@@ -27,6 +29,7 @@ from tqsim import (
     RunConfig,
     SpacetimePoint,
     StateVector,
+    TransactionFailed,
     TransactionSucceeded,
     builtin_spec,
     compile_program,
@@ -90,11 +93,11 @@ def test_payload_and_exact_law_digests(name, strategy):
 
 
 
-def _layout(absorbers, rules=(), coin=None):
+def _layout(absorbers, rules=(), coin=None, channels=("R", "L")):
     return ExperimentSpec(
         name="custom",
         emission=SpacetimePoint(0.0, 0.0),
-        initial_state=StateVector(("R", "L"), (complex(math.sqrt(0.5)),) * 2),
+        initial_state=StateVector(channels, (complex(math.sqrt(1 / len(channels))),) * len(channels)),
         absorbers=tuple(absorbers),
         rules=tuple(rules),
         coin=coin,
@@ -133,11 +136,53 @@ def _hand_built():
     photons = _layout(
         [AbsorberConfig("A", "R", at(1.0, 1.0)), AbsorberConfig("B", "L", at(3.0, -3.0))]
     )
-    return {"succeeded-rule": succeeded, "coin-rules": coin, "photon-pair": photons}
+    # A's failure places C on the third channel, after A and B split at t=1.
+    pair_then_place = _layout(
+        [
+            AbsorberConfig("A", "R", at(1.0, 0.5)),
+            AbsorberConfig("B", "M", at(1.0, -0.5)),
+            AbsorberConfig("C", "L", at(2.0, -1.0), initially_present=False),
+        ],
+        [ContingencyRule(TransactionFailed("A", 1.0), PlaceAbsorber("C", "L", at(2.0, -1.0)), 1.5)],
+        channels=("R", "M", "L"),
+    )
+    # Three absorbers from the start: three-way splits, hierarchy order B, A, C.
+    triple = _layout(
+        [
+            AbsorberConfig("A", "R", at(1.0, 0.5)),
+            AbsorberConfig("B", "M", at(1.0, -0.6)),
+            AbsorberConfig("C", "L", at(2.0, -1.0)),
+        ],
+        channels=("R", "M", "L"),
+    )
+    return {
+        "succeeded-rule": succeeded,
+        "coin-rules": coin,
+        "photon-pair": photons,
+        "pair-then-place": pair_then_place,
+        "triple": triple,
+    }
 
 
 def _leaf_spec(name):
     return _hand_built().get(name) or builtin_spec(name)
+
+
+# The (strategy, tie_break) pairs each hand-built layout is pinned under.
+HAND_BUILT_CASES = {
+    "succeeded-rule": [("sequential", True)],
+    "coin-rules": [("sequential", True)],
+    "photon-pair": [("global-echo", True), ("hierarchy", False), ("hierarchy", True), ("sequential", True)],
+    "pair-then-place": [("sequential", True)],
+    "triple": [("global-echo", True), ("hierarchy", True), ("sequential", True)],
+}
+
+
+def leaf_cases():
+    """(layout, strategy, tie_break) keys: every GOLDEN pair, then the hand-built cases."""
+    cases = {(name, strategy, True) for name, strategy in GOLDEN}
+    cases |= {(name, s, tb) for name, pairs in HAND_BUILT_CASES.items() for s, tb in pairs}
+    return sorted(cases)
 
 
 # sha256 over every leaf's full record, one repr line per leaf (see leaf_digest);
@@ -153,11 +198,15 @@ LEAF_GOLDEN = {
     ("dce-remove", "sequential", True): "b65be169f81cdc9cf6fcc9e466f2b40a73e3a2da172ef092c85d5b613877998a",
     ("maudlin", "sequential", True): "92836c1a7701bd594ead07c9057fcf937637eecdf995d8d7910542803b470031",
     ("miller", "sequential", True): "f1472bbdf53f1bbd04787ca8476fa1ec37474dd4557e621eeb673aff07b68198",
+    ("pair-then-place", "sequential", True): "6828ecd1291f54bdb13df6c186bfe98dfa399b82e87599de08335481f5b3f5cf",
     ("photon-pair", "global-echo", True): "260ea83140f796358f35cbd6a304756084b51280a7e64dc552fc5fc5ee910ee4",
     ("photon-pair", "hierarchy", False): "ceb20a12bc46c47d68c2c705a2de77c4efeb1ba0d181ac8d13459c11a8d6c548",
     ("photon-pair", "hierarchy", True): "3d85da0bbb329f4d978863e98e2e3cb354d0531d1e6a804538345201091953cf",
     ("photon-pair", "sequential", True): "6047f133a29c64fce49c1d308cff4891c6f86601a833ccbc888fca8ed8921e59",
     ("succeeded-rule", "sequential", True): "89cf61af40375a48960465a73756f9935274fd4888434c98a06fc609ebf6eab3",
+    ("triple", "global-echo", True): "a97913eb5ff8dd89612eb5827cc552a7a51dc36901a583e7ea05c37cc820c8c7",
+    ("triple", "hierarchy", True): "6e860661ba7b624bfe515c70e86ca1df2498f885847e7c4264a5910ebcfe0138",
+    ("triple", "sequential", True): "a3b7cb06e3fc501e445565e156f552cb294eb5fc405dcafd557ff23f1f487b91",
 }
 
 
@@ -173,7 +222,41 @@ def leaf_digest(program) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("name,strategy,tie_break", sorted(LEAF_GOLDEN))
+def _leaf_program(name, strategy, tie_break):
+    return compile_program.__wrapped__(_leaf_spec(name), strategy, tie_break)
+
+
+@pytest.mark.parametrize("name,strategy,tie_break", leaf_cases())
 def test_leaf_record_digests(name, strategy, tie_break):
-    program = compile_program.__wrapped__(_leaf_spec(name), strategy, tie_break)
-    assert leaf_digest(program) == LEAF_GOLDEN[name, strategy, tie_break]
+    program = _leaf_program(name, strategy, tie_break)
+    assert leaf_digest(program) == LEAF_GOLDEN.get((name, strategy, tie_break))
+
+
+def test_leaf_golden_has_no_stale_entries():
+    assert sorted(LEAF_GOLDEN) == leaf_cases()
+
+
+def _print_tables():
+    """Print GOLDEN and LEAF_GOLDEN as the current code computes them."""
+    print("GOLDEN = {")
+    for name, strategy in sorted(GOLDEN):
+        spec = builtin_spec(name)
+        config = RunConfig(20_000, 7, strategy=strategy)
+        table, report = run_experiment(spec, config)
+        payload = json.dumps(run_payload(spec, config, table, report), indent=2, sort_keys=True) + "\n"
+        exact = {k: v.hex() for k, v in outcome_distribution(spec, strategy).items()}
+        print(f"    ({name!r}, {strategy!r}): (".replace("'", '"'))
+        print(f'        "{sha256(payload)}",')
+        print(f'        "{sha256(json.dumps(exact, sort_keys=True))}",')
+        print("    ),")
+    print("}")
+    print()
+    print("LEAF_GOLDEN = {")
+    for case in leaf_cases():
+        digest = leaf_digest(_leaf_program(*case))
+        print(f'    {case!r}: "{digest}",'.replace("'", '"'))
+    print("}")
+
+
+if __name__ == "__main__":
+    _print_tables()

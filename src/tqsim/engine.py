@@ -269,27 +269,20 @@ class TransactionFailed:
 
 
 @dataclass(frozen=True, slots=True)
-class TransactionSucceeded:
-    absorber: str
-    time: float
-
-
-@dataclass(frozen=True, slots=True)
 class CoinOutcome:
     label: str
 
 
-Trigger = Always | TransactionFailed | TransactionSucceeded | CoinOutcome
+Trigger = Always | TransactionFailed | CoinOutcome
 
 
 def trigger_satisfied(trigger: Trigger, events: Sequence[LedgerEvent]) -> bool:
     """Is the trigger's condition on the record (strictly earlier events)?"""
     if isinstance(trigger, Always):
         return True
-    if isinstance(trigger, (TransactionFailed, TransactionSucceeded)):
-        kind = EventKind.FAILURE if isinstance(trigger, TransactionFailed) else EventKind.SUCCESS
+    if isinstance(trigger, TransactionFailed):
         return any(
-            e.kind is kind and e.absorber == trigger.absorber and e.time == trigger.time
+            e.kind is EventKind.FAILURE and e.absorber == trigger.absorber and e.time == trigger.time
             for e in events
         )
     if isinstance(trigger, CoinOutcome):

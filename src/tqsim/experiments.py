@@ -23,7 +23,6 @@ from .engine import (
     ResolutionStrategy,
     SpacetimePoint,
     TransactionFailed,
-    TransactionSucceeded,
     Trigger,
     confirm,
     spacetime_interval2,
@@ -396,10 +395,9 @@ def _parse_trigger(obj: Mapping[str, Any], where: str) -> Trigger:
     if kind == "always":
         _check_keys(obj, where, {"kind"}, {"kind"})
         return Always()
-    if kind in ("transaction-failed", "transaction-succeeded"):
+    if kind == "transaction-failed":
         _check_keys(obj, where, {"kind", "id", "t"}, {"kind", "id", "t"})
-        cls = TransactionFailed if kind == "transaction-failed" else TransactionSucceeded
-        return cls(_string(obj, where, "id"), _number(obj, where, "t"))
+        return TransactionFailed(_string(obj, where, "id"), _number(obj, where, "t"))
     if kind == "coin-outcome":
         _check_keys(obj, where, {"kind", "label"}, {"kind", "label"})
         return CoinOutcome(_string(obj, where, "label"))
@@ -432,7 +430,9 @@ def load_spec(source: str | bytes | Mapping[str, Any], validate: bool = True) ->
     if isinstance(source, (str, bytes)):
         try:
             doc = json.loads(source)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
+            # ValueError covers malformed JSON, undecodable bytes and
+            # over-long integer literals; RecursionError an over-deep document.
             raise SpecError(f"parse error: {e}") from None
     else:
         doc = source
@@ -577,8 +577,6 @@ def _trigger_doc(trigger: Trigger) -> dict[str, Any]:
         return {"kind": "always"}
     if isinstance(trigger, TransactionFailed):
         return {"kind": "transaction-failed", "id": trigger.absorber, "t": trigger.time}
-    if isinstance(trigger, TransactionSucceeded):
-        return {"kind": "transaction-succeeded", "id": trigger.absorber, "t": trigger.time}
     if isinstance(trigger, CoinOutcome):
         return {"kind": "coin-outcome", "label": trigger.label}
     raise TypeError(f"unknown trigger {trigger!r}")
@@ -654,7 +652,7 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
     for i, rule in enumerate(spec.rules):
         trig = rule.trigger
         trig_time: float | None
-        if isinstance(trig, (TransactionFailed, TransactionSucceeded)):
+        if isinstance(trig, TransactionFailed):
             trig_time = trig.time
             target = next((a for a in spec.absorbers if a.id == trig.absorber), None)
             if target is None:

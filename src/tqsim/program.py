@@ -29,7 +29,6 @@ from .engine import (
     SpacetimePoint,
     StrategyError,
     TransactionFailed,
-    TransactionSucceeded,
     TrialLedger,
     check_bilking,
     cuts,
@@ -41,6 +40,9 @@ from .engine import (
 # Kinds of the next event on a branch; on equal times the smaller kind goes
 # first (the coin, then scheduled actions, then absorptions).
 _COIN, _ACTIONS, _ABSORB = 0, 1, 2
+
+# Condition prefixes of the resolutions recorded for trigger-named absorbers.
+_RESOLVED = {EventKind.FAILURE: "failed", EventKind.SUCCESS: "succeeded"}
 
 # Ledger events one tree's leaves may hold together.  Every screen leaf
 # copies the branch's shared prefix, so a wide screen grows its tree
@@ -91,29 +93,21 @@ def _coin_face(events: Sequence[LedgerEvent]) -> str | None:
 @dataclass
 class _Walk:
     """Mutable branch state while the tree is being grown.  ``events`` is
-    the branch's record: rules fire, and the coin shows its face, off it."""
+    the branch's only record: rules fire, the coin shows its face, and the
+    spent channels and leaf conditions are read, off it."""
 
     time: float
     present: dict[str, tuple[str, SpacetimePoint]]
-    expended: set[str] = field(default_factory=set)
     draws: int = 0
     prob: float = 1.0
     events: list[LedgerEvent] = field(default_factory=list)
     # Every candidate confirmed on this branch; the fixed strategies let
     # them all compete in one round once the branch has run its course.
     offered: list[IncipientTransaction] = field(default_factory=list)
-    conditions: list[str] = field(default_factory=list)
 
     def clone(self) -> "_Walk":
         return _Walk(
-            self.time,
-            dict(self.present),
-            set(self.expended),
-            self.draws,
-            self.prob,
-            list(self.events),
-            list(self.offered),
-            list(self.conditions),
+            self.time, dict(self.present), self.draws, self.prob, list(self.events), list(self.offered)
         )
 
 
@@ -128,9 +122,7 @@ class _Builder:
             {label: i for i, label in enumerate(spec.screen.bin_labels())} if spec.screen else {}
         )
         self.triggers = tuple(r.trigger for r in spec.rules)
-        self.trigger_refs = {
-            t.absorber for t in self.triggers if isinstance(t, (TransactionFailed, TransactionSucceeded))
-        }
+        self.trigger_refs = {t.absorber for t in self.triggers if isinstance(t, TransactionFailed)}
         self.leaves: list[Leaf] = []
         self.ledger_events = 0
         self.max_draws = 0
@@ -152,7 +144,7 @@ class _Builder:
         times += [(f"absorber {a.id!r}", a.position.t) for a in spec.absorbers]
         for i, rule in enumerate(spec.rules):
             times.append((f"rule {i}", rule.time))
-            if isinstance(rule.trigger, (TransactionFailed, TransactionSucceeded)):
+            if isinstance(rule.trigger, TransactionFailed):
                 times.append((f"rule {i} trigger", rule.trigger.time))
             if not isinstance(rule.action, xp.RemoveScreen):
                 times.append((f"rule {i} placement", rule.action.position.t))
@@ -241,7 +233,6 @@ class _Builder:
             label = coin.labels[j]
             child.time = coin.flip_time
             child.events.append(LedgerEvent(EventKind.COIN, coin.flip_time, label=label))
-            child.conditions.append(f"coin:{label}")
             return self._grow(child)
 
         return self._split(walk, points, flip)
@@ -251,7 +242,7 @@ class _Builder:
         branch on which every candidate fails and the walk goes on."""
         ordered, points, residual = split
         if len(ordered) == 1 and not residual:
-            return self._success(walk.clone(), ordered[0], ())
+            return self._success(walk.clone(), ordered[0])
         hierarchy = self.strategy is ResolutionStrategy.HIERARCHY
         # Each child copies this branch's record, and winner i's leaf adds
         # its losers' failures and its success: refuse the tree now if those
@@ -262,14 +253,20 @@ class _Builder:
             self.ledger_events + (n + bool(residual)) * len(walk.events) + failures + n
         )
 
+        # One failure event per candidate, shared by every child that records it.
+        fails = [
+            LedgerEvent(EventKind.FAILURE, tx.absorbed_at.t, absorber=tx.absorber, channel=tx.channel)
+            for tx in ordered
+        ]
+
         def settle(i: int, child: _Walk) -> Node | Leaf:
             if i == len(ordered):
-                self._record_failures(child, ordered)
+                child.events += fails
                 return self._grow(child)
             # The hierarchy walk stops at its winner, so only nearer
             # candidates were tried and failed.
-            losers = ordered[:i] if hierarchy else ordered[:i] + ordered[i + 1:]
-            return self._success(child, ordered[i], losers)
+            child.events += fails[:i] if hierarchy else fails[:i] + fails[i + 1:]
+            return self._success(child, ordered[i])
 
         return self._split(walk, points, settle)
 
@@ -296,8 +293,15 @@ class _Builder:
             )
         walk.time = t
 
+    def _spent(self, events: Sequence[LedgerEvent]) -> set[str]:
+        """Channels whose component was taken up on the branch: those that
+        confirmed, or every channel of the emitted state once a bin has."""
+        spent = {e.channel for e in events if e.kind is EventKind.CW}
+        return self.state_channels if spent & self.bin_channels else spent
+
     def _absorb_event(self, walk: _Walk, t: float) -> list[IncipientTransaction]:
         """Confirmation waves for every live absorber whose time has come."""
+        spent = self._spent(walk.events)
         responding = []
         for aid, (ch, pos) in list(walk.present.items()):
             if pos.t != t:
@@ -306,7 +310,7 @@ class _Builder:
             # was already taken up is shadowed (e.g. a telescope behind a
             # still-standing screen) and sends no confirmation.
             del walk.present[aid]
-            if ch not in walk.expended:
+            if ch not in spent:
                 responding.append((aid, ch, pos))
         screen_event = any(ch in self.bin_channels for _, ch, _pos in responding)
         if screen_event and any(ch not in self.bin_channels for _, ch, _pos in responding):
@@ -316,33 +320,15 @@ class _Builder:
             walk.events.append(
                 LedgerEvent(EventKind.CW, t, absorber=tx.absorber, channel=tx.channel, weight=tx.weight)
             )
-        if screen_event:
-            walk.expended |= self.state_channels
-        else:
-            walk.expended.update(tx.channel for tx in txs)
         walk.offered.extend(txs)
         walk.time = t
         return txs
 
-    def _record_failures(self, walk: _Walk, losers: Sequence[IncipientTransaction]) -> None:
-        for tx in losers:
-            walk.events.append(
-                LedgerEvent(EventKind.FAILURE, tx.absorbed_at.t,
-                            absorber=tx.absorber, channel=tx.channel)
-            )
-            if tx.absorber in self.trigger_refs:
-                walk.conditions.append(f"failed:{tx.absorber}")
-
-    def _success(
-        self, walk: _Walk, winner: IncipientTransaction, losers: Sequence[IncipientTransaction]
-    ) -> Leaf:
-        self._record_failures(walk, losers)
+    def _success(self, walk: _Walk, winner: IncipientTransaction) -> Leaf:
         walk.events.append(
             LedgerEvent(EventKind.SUCCESS, winner.absorbed_at.t, absorber=winner.absorber,
                         channel=winner.channel, weight=winner.weight)
         )
-        if winner.absorber in self.trigger_refs:
-            walk.conditions.append(f"succeeded:{winner.absorber}")
         return self._leaf(walk, winner.absorber)
 
     def _leaf(self, walk: _Walk, outcome: str, terminal: EventKind | None = None) -> Leaf:
@@ -352,17 +338,18 @@ class _Builder:
         self.ledger_events += len(events)
         self._check_size(self.ledger_events)
         ledger = TrialLedger(events, record_emitter_state(events), outcome)
+        spent = self._spent(events)
         unoffered = math.fsum(
             abs(self.spec.initial_state.amp(ch)) ** 2
             for ch in self.spec.initial_state.labels
-            if ch not in walk.expended
+            if ch not in spent
         )
         leaf = Leaf(
             index=len(self.leaves),
             outcome=outcome,
-            coin_outcome=_coin_face(events) if self.spec.coin else None,
+            coin_outcome=_coin_face(events),
             ledger=ledger,
-            conditions=tuple(walk.conditions),
+            conditions=self._conditions(events),
             bin_index=self.bin_index.get(outcome),
             weight_sum_error=abs(math.fsum(tx.weight for tx in walk.offered) + unoffered - 1.0),
             violations=tuple(check_bilking(ledger, self.triggers)),
@@ -371,6 +358,14 @@ class _Builder:
         self.leaves.append(leaf)
         self.max_draws = max(self.max_draws, walk.draws)
         return leaf
+
+    def _conditions(self, events: Sequence[LedgerEvent]) -> tuple[str, ...]:
+        """The coin's face and the resolutions of trigger-named absorbers, in ledger order."""
+        return tuple(
+            f"coin:{e.label}" if e.kind is EventKind.COIN else f"{_RESOLVED[e.kind]}:{e.absorber}"
+            for e in events
+            if e.kind is EventKind.COIN or (e.kind in _RESOLVED and e.absorber in self.trigger_refs)
+        )
 
     @staticmethod
     def _check_size(ledger_events: int) -> None:

@@ -147,6 +147,18 @@ def test_compiled_program_exposes_what_the_benchmark_reads():
     assert sum(len(leaf.ledger.events) for leaf in compiled.leaves) == 81015
 
 
+def test_bulk_fringe_trees_hold_the_traced_ledger_event_count():
+    # The traced run of the fringe workload reports program.ledger_events
+    # summed over these three trees.
+    trees = [("keep", "sequential"), ("keep", "global-echo"), ("coinflip", "sequential")]
+    total = sum(
+        len(leaf.ledger.events)
+        for mode, strategy in trees
+        for leaf in program.compile_program(dce_spec(mode), strategy, True).leaves
+    )
+    assert total == 242_619
+
+
 def test_classification_takes_and_returns_what_the_tracer_counts(monkeypatch):
     # The tracer's counter for classify_counts reads its arguments as
     # (program, uniforms), and run_experiment sums one int64 count per leaf.

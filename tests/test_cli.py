@@ -114,6 +114,23 @@ def run_bounded(argv, preamble=""):
     )
 
 
+def test_validate_refuses_transaction_succeeded_trigger(tmp_path, capsys):
+    doc = spec_to_document(maudlin_spec())
+    doc["rules"][0]["trigger"] = {"kind": "transaction-succeeded", "id": "A", "t": 1.0}
+    code, out, err = run_cli(capsys, "validate", write_doc(tmp_path, doc))
+    assert (code, out) == (1, "")
+    assert err == "error: rules[0].trigger: unknown trigger kind 'transaction-succeeded'\n"
+
+
+def test_validate_reports_an_over_deep_document(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_bounded(["validate", str(path)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: parse error:")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("rules", [None, 5])
 def test_validate_rejects_rules_that_are_not_a_list(tmp_path, capsys, rules):
     doc = spec_to_document(maudlin_spec())

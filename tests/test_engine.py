@@ -21,7 +21,6 @@ from tqsim import (
     SpacetimePoint,
     StrategyError,
     TransactionFailed,
-    TransactionSucceeded,
     TrialLedger,
     check_bilking,
     compile_program,
@@ -242,8 +241,7 @@ def test_trigger_satisfied():
     assert trigger_satisfied(TransactionFailed("A", 1.0), (failed,))
     assert not trigger_satisfied(TransactionFailed("A", 2.0), (failed,))
     assert not trigger_satisfied(TransactionFailed("B", 1.0), (failed,))
-    assert trigger_satisfied(TransactionSucceeded("A", 1.0), (won,))
-    assert not trigger_satisfied(TransactionSucceeded("A", 1.0), (failed,))
+    assert not trigger_satisfied(TransactionFailed("A", 1.0), (won,))
     assert trigger_satisfied(CoinOutcome("up"), (coin,))
     assert not trigger_satisfied(CoinOutcome("down"), (coin,))
 

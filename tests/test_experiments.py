@@ -248,6 +248,20 @@ def test_load_rejects_parse_garbage():
         load_spec("{nope")
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "[" * 100_000 + "]" * 100_000,
+        '{"name": ' + "1" * 5_000 + "}",
+        b'{"name": "\xff"}',
+    ],
+    ids=["over-deep", "over-long-integer", "invalid-utf8"],
+)
+def test_load_reports_every_parse_failure_as_a_spec_error(source):
+    with pytest.raises(SpecError, match="^parse error:"):
+        load_spec(source)
+
+
 def test_load_rejects_unknown_document_fields():
     doc = good_doc()
     doc["extra"] = 1
@@ -295,6 +309,15 @@ def test_load_rejects_unknown_trigger_kind():
     doc["rules"][0]["trigger"] = {"kind": "sometimes"}
     with pytest.raises(SpecError, match="rules\\[0\\].trigger: unknown trigger kind 'sometimes'"):
         load_spec(doc)
+
+
+def test_load_refuses_transaction_succeeded_trigger():
+    # A success ends the trial, so no rule can be contingent on one.
+    doc = good_doc()
+    doc["rules"][0]["trigger"] = {"kind": "transaction-succeeded", "id": "A", "t": 1.0}
+    expected = r"^rules\[0\]\.trigger: unknown trigger kind 'transaction-succeeded'$"
+    with pytest.raises(SpecError, match=expected):
+        load_spec(json.dumps(doc))
 
 
 def test_load_rejects_unknown_action_kind():

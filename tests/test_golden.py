@@ -12,7 +12,9 @@ pairs are covered by ``test_single_round_strategies_reject_contingent_specs``.
 Run this file as a script (``PYTHONPATH=src python tests/test_golden.py``)
 to print both tables, computed from the current code, in source form.
 """
+import ast
 import hashlib
+import inspect
 import json
 import math
 
@@ -23,20 +25,20 @@ from tqsim import (
     CoinConfig,
     CoinOutcome,
     ContingencyRule,
-    DivertChannel,
     ExperimentSpec,
     PlaceAbsorber,
     RunConfig,
     SpacetimePoint,
     StateVector,
     TransactionFailed,
-    TransactionSucceeded,
     builtin_spec,
     compile_program,
+    experiments,
     outcome_distribution,
     run_experiment,
     run_payload,
 )
+from tqsim.engine import EventKind
 
 # (payload sha256 at 20 000 trials / seed 7, exact-law sha256 with float.hex values)
 GOLDEN = {
@@ -106,19 +108,6 @@ def _layout(absorbers, rules=(), coin=None, channels=("R", "L")):
 
 def _hand_built():
     at = SpacetimePoint
-    # A's success reroutes L; on the branch where A fails, B takes the rest.
-    succeeded = _layout(
-        [
-            AbsorberConfig("A", "R", at(1.0, 0.5)),
-            AbsorberConfig("B", "L", at(2.0, -1.0)),
-            AbsorberConfig("C", "L", at(3.0, -2.0), initially_present=False),
-        ],
-        [
-            ContingencyRule(
-                TransactionSucceeded("A", 1.0), DivertChannel("L", "C", at(3.0, -2.0)), 1.5
-            )
-        ],
-    )
     # An uneven coin places a different absorber on L on each face.
     coin = _layout(
         [
@@ -156,7 +145,6 @@ def _hand_built():
         channels=("R", "M", "L"),
     )
     return {
-        "succeeded-rule": succeeded,
         "coin-rules": coin,
         "photon-pair": photons,
         "pair-then-place": pair_then_place,
@@ -170,7 +158,6 @@ def _leaf_spec(name):
 
 # The (strategy, tie_break) pairs each hand-built layout is pinned under.
 HAND_BUILT_CASES = {
-    "succeeded-rule": [("sequential", True)],
     "coin-rules": [("sequential", True)],
     "photon-pair": [("global-echo", True), ("hierarchy", False), ("hierarchy", True), ("sequential", True)],
     "pair-then-place": [("sequential", True)],
@@ -203,7 +190,6 @@ LEAF_GOLDEN = {
     ("photon-pair", "hierarchy", False): "ceb20a12bc46c47d68c2c705a2de77c4efeb1ba0d181ac8d13459c11a8d6c548",
     ("photon-pair", "hierarchy", True): "3d85da0bbb329f4d978863e98e2e3cb354d0531d1e6a804538345201091953cf",
     ("photon-pair", "sequential", True): "6047f133a29c64fce49c1d308cff4891c6f86601a833ccbc888fca8ed8921e59",
-    ("succeeded-rule", "sequential", True): "89cf61af40375a48960465a73756f9935274fd4888434c98a06fc609ebf6eab3",
     ("triple", "global-echo", True): "a97913eb5ff8dd89612eb5827cc552a7a51dc36901a583e7ea05c37cc820c8c7",
     ("triple", "hierarchy", True): "6e860661ba7b624bfe515c70e86ca1df2498f885847e7c4264a5910ebcfe0138",
     ("triple", "sequential", True): "a3b7cb06e3fc501e445565e156f552cb294eb5fc405dcafd557ff23f1f487b91",
@@ -234,6 +220,39 @@ def test_leaf_record_digests(name, strategy, tie_break):
 
 def test_leaf_golden_has_no_stale_entries():
     assert sorted(LEAF_GOLDEN) == leaf_cases()
+
+
+def _parsed_trigger_kinds():
+    """The trigger kinds the document parser accepts: every string it compares ``kind`` with."""
+    tree = ast.parse(inspect.getsource(experiments._parse_trigger))
+    return {
+        node.value
+        for compare in ast.walk(tree)
+        if isinstance(compare, ast.Compare)
+        and isinstance(compare.left, ast.Name)
+        and compare.left.id == "kind"
+        for comparator in compare.comparators
+        for node in ast.walk(comparator)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_every_trigger_kind_fires_in_some_pinned_layout():
+    # A kind the parser accepts but no pinned leaf shows firing may be one
+    # that can never fire.
+    fired = set()
+    for name, strategy, tie_break in leaf_cases():
+        spec = _leaf_spec(name)
+        for leaf in _leaf_program(name, strategy, tie_break).leaves:
+            fired |= {
+                experiments._trigger_doc(spec.rules[e.rule_index].trigger)["kind"]
+                for e in leaf.ledger.events
+                if e.kind in (EventKind.PLACE, EventKind.DIVERT, EventKind.REMOVE_SCREEN)
+                and e.rule_index is not None
+            }
+    accepted = _parsed_trigger_kinds()
+    assert "always" in accepted
+    assert accepted <= fired
 
 
 def _print_tables():

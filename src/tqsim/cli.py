@@ -67,7 +67,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    spec = load_spec(Path(args.spec_path).read_text(), validate=False)
+    spec = load_spec(Path(args.spec_path).read_bytes(), validate=False)
     problems = validate_spec(spec)
     if problems:
         for p in problems:
@@ -81,7 +81,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.experiment:
         spec = builtin_spec(args.experiment)
     else:
-        spec = load_spec(Path(args.spec).read_text())
+        spec = load_spec(Path(args.spec).read_bytes())
     config = RunConfig(
         n_trials=args.trials,
         seed=args.seed,

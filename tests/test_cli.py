@@ -122,9 +122,12 @@ def test_validate_refuses_transaction_succeeded_trigger(tmp_path, capsys):
     assert err == "error: rules[0].trigger: unknown trigger kind 'transaction-succeeded'\n"
 
 
-def test_validate_reports_an_over_deep_document(tmp_path):
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 100_000 + "]" * 100_000)
+@pytest.mark.parametrize(
+    "content", [b"[" * 100_000 + b"]" * 100_000, b'{"name": "\xff"}'], ids=["over-deep", "invalid-utf8"]
+)
+def test_validate_reports_a_parse_error(tmp_path, content):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
     proc = run_bounded(["validate", str(path)])
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: parse error:")

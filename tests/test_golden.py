@@ -38,7 +38,6 @@ from tqsim import (
     run_experiment,
     run_payload,
 )
-from tqsim.engine import EventKind
 
 # (payload sha256 at 20 000 trials / seed 7, exact-law sha256 with float.hex values)
 GOLDEN = {
@@ -84,14 +83,18 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name,strategy", sorted(GOLDEN))
-def test_payload_and_exact_law_digests(name, strategy):
+def payload_digests(name, strategy):
     spec = builtin_spec(name)
     config = RunConfig(20_000, 7, strategy=strategy)
     table, report = run_experiment(spec, config)
     payload = json.dumps(run_payload(spec, config, table, report), indent=2, sort_keys=True) + "\n"
     exact = {k: v.hex() for k, v in outcome_distribution(spec, strategy).items()}
-    assert (sha256(payload), sha256(json.dumps(exact, sort_keys=True))) == GOLDEN[name, strategy]
+    return sha256(payload), sha256(json.dumps(exact, sort_keys=True))
+
+
+@pytest.mark.parametrize("name,strategy", sorted(GOLDEN))
+def test_payload_and_exact_law_digests(name, strategy):
+    assert payload_digests(name, strategy) == GOLDEN[name, strategy]
 
 
 
@@ -238,8 +241,9 @@ def _parsed_trigger_kinds():
 
 
 def test_every_trigger_kind_fires_in_some_pinned_layout():
-    # A kind the parser accepts but no pinned leaf shows firing may be one
-    # that can never fire.
+    # Only the apparatus event a rule fires carries its index.  A kind the
+    # parser accepts but no pinned leaf shows firing may be one that can
+    # never fire.
     fired = set()
     for name, strategy, tie_break in leaf_cases():
         spec = _leaf_spec(name)
@@ -247,8 +251,7 @@ def test_every_trigger_kind_fires_in_some_pinned_layout():
             fired |= {
                 experiments._trigger_doc(spec.rules[e.rule_index].trigger)["kind"]
                 for e in leaf.ledger.events
-                if e.kind in (EventKind.PLACE, EventKind.DIVERT, EventKind.REMOVE_SCREEN)
-                and e.rule_index is not None
+                if e.rule_index is not None
             }
     accepted = _parsed_trigger_kinds()
     assert "always" in accepted
@@ -258,22 +261,18 @@ def test_every_trigger_kind_fires_in_some_pinned_layout():
 def _print_tables():
     """Print GOLDEN and LEAF_GOLDEN as the current code computes them."""
     print("GOLDEN = {")
-    for name, strategy in sorted(GOLDEN):
-        spec = builtin_spec(name)
-        config = RunConfig(20_000, 7, strategy=strategy)
-        table, report = run_experiment(spec, config)
-        payload = json.dumps(run_payload(spec, config, table, report), indent=2, sort_keys=True) + "\n"
-        exact = {k: v.hex() for k, v in outcome_distribution(spec, strategy).items()}
-        print(f"    ({name!r}, {strategy!r}): (".replace("'", '"'))
-        print(f'        "{sha256(payload)}",')
-        print(f'        "{sha256(json.dumps(exact, sort_keys=True))}",')
+    for name, strategy in GOLDEN:
+        payload, exact = payload_digests(name, strategy)
+        print(f'    ("{name}", "{strategy}"): (')
+        print(f'        "{payload}",')
+        print(f'        "{exact}",')
         print("    ),")
     print("}")
     print()
     print("LEAF_GOLDEN = {")
-    for case in leaf_cases():
-        digest = leaf_digest(_leaf_program(*case))
-        print(f'    {case!r}: "{digest}",'.replace("'", '"'))
+    for name, strategy, tie_break in leaf_cases():
+        digest = leaf_digest(_leaf_program(name, strategy, tie_break))
+        print(f'    ("{name}", "{strategy}", {tie_break}): "{digest}",')
     print("}")
 
 

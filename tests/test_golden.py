@@ -178,32 +178,35 @@ def leaf_cases():
 # sha256 over every leaf's full record, one repr line per leaf (see leaf_digest);
 # keyed by (layout, strategy, tie_break).  Layouts are builtins or the hand-built ones.
 LEAF_GOLDEN = {
-    ("coin-rules", "sequential", True): "0be7b3f125f0d3c1d52ca4b14e1c8d28a0371764762ff4e103f63252882f0e57",
-    ("dce-coinflip", "sequential", True): "6a8cecd804fa7f4f7f6344d3039a1cda158843b98483d43373559a4ac2942d2c",
-    ("dce-keep", "global-echo", True): "5af34b9592ccb976c7351c42847f06374469fc87f330e2a411da0e4290904d83",
-    ("dce-keep", "hierarchy", True): "53fc2f40a61f230376a7f6a7b3389b3f9c274072156f6f2373fa67618f190cd4",
-    ("dce-keep", "sequential", True): "5af34b9592ccb976c7351c42847f06374469fc87f330e2a411da0e4290904d83",
-    ("dce-remove", "global-echo", True): "b65be169f81cdc9cf6fcc9e466f2b40a73e3a2da172ef092c85d5b613877998a",
-    ("dce-remove", "hierarchy", True): "26b6f5b4263a23998b7eb8a0941a94694ee23c5d061503ad07c570c5a05946f6",
-    ("dce-remove", "sequential", True): "b65be169f81cdc9cf6fcc9e466f2b40a73e3a2da172ef092c85d5b613877998a",
-    ("maudlin", "sequential", True): "92836c1a7701bd594ead07c9057fcf937637eecdf995d8d7910542803b470031",
-    ("miller", "sequential", True): "f1472bbdf53f1bbd04787ca8476fa1ec37474dd4557e621eeb673aff07b68198",
-    ("pair-then-place", "sequential", True): "6828ecd1291f54bdb13df6c186bfe98dfa399b82e87599de08335481f5b3f5cf",
-    ("photon-pair", "global-echo", True): "260ea83140f796358f35cbd6a304756084b51280a7e64dc552fc5fc5ee910ee4",
-    ("photon-pair", "hierarchy", False): "ceb20a12bc46c47d68c2c705a2de77c4efeb1ba0d181ac8d13459c11a8d6c548",
-    ("photon-pair", "hierarchy", True): "3d85da0bbb329f4d978863e98e2e3cb354d0531d1e6a804538345201091953cf",
-    ("photon-pair", "sequential", True): "6047f133a29c64fce49c1d308cff4891c6f86601a833ccbc888fca8ed8921e59",
-    ("triple", "global-echo", True): "a97913eb5ff8dd89612eb5827cc552a7a51dc36901a583e7ea05c37cc820c8c7",
-    ("triple", "hierarchy", True): "6e860661ba7b624bfe515c70e86ca1df2498f885847e7c4264a5910ebcfe0138",
-    ("triple", "sequential", True): "a3b7cb06e3fc501e445565e156f552cb294eb5fc405dcafd557ff23f1f487b91",
+    ("coin-rules", "sequential", True): "5e10ad16b81566598a30c40061c185e2dea22de53abd3175a98d9e1482198373",
+    ("dce-coinflip", "sequential", True): "7fc860786a535ac443e289867b13a4f8da1addf43e1228ffcc1bcf3cbd07f0ec",
+    ("dce-keep", "global-echo", True): "7ea118328e66d58f0e41508dd017da491ca10129b3ebaf71ac20bb0bc0821fb3",
+    ("dce-keep", "hierarchy", True): "a3b1263e6193fb5affa1504a33b780e17cd3f917b6d3e6f509960c8484705328",
+    ("dce-keep", "sequential", True): "7ea118328e66d58f0e41508dd017da491ca10129b3ebaf71ac20bb0bc0821fb3",
+    ("dce-remove", "global-echo", True): "e7c25e04115929fd8a737556b9f7dbe81659bae46e03e2a9e547d9e4089aa607",
+    ("dce-remove", "hierarchy", True): "49fb132d642481478be24fe8add7f3a550bbc8f62352e206ea3511d978f70977",
+    ("dce-remove", "sequential", True): "e7c25e04115929fd8a737556b9f7dbe81659bae46e03e2a9e547d9e4089aa607",
+    ("maudlin", "sequential", True): "ccb50c986a2fbcc2689fe212852d8aad5eea1d0d8a27e84f44f110083931d8cd",
+    ("miller", "sequential", True): "6a24f206950a54983d5c3bbd1593da1edd56c5ad662cd9b1457d13bbb736f36b",
+    ("pair-then-place", "sequential", True): "f17b325a359ca2526860f5dc219ba533b0808f7705d1256c76014248dac3111c",
+    ("photon-pair", "global-echo", True): "43b159a5858a58da86b926c4bf3e8d9c005602bada409b1ba137c302ff8950d9",
+    ("photon-pair", "hierarchy", False): "f54c3d086b11692c0f255bea018efa427fce97b83586cca645e55ac1fe4ff31c",
+    ("photon-pair", "hierarchy", True): "ec9e140515fd296b7e94596ec7d2b2526e65efe6d3dfc2bc7483051876758f69",
+    ("photon-pair", "sequential", True): "1cb36336a0b4042d98fc3e7c83ec62a0d66f8683e2aeaa7ce9d40748e5a69e0b",
+    ("triple", "global-echo", True): "306cadc45d83e203e31ef5e33fe4c13e66dc204cd9024421be2e679a10b603b0",
+    ("triple", "hierarchy", True): "932ab8e8160e347f553fbc5210f01d8dfd2e411eb5e5b6329eda1077b5202bf5",
+    ("triple", "sequential", True): "8ec22eac3f292954feff65d05ac5bdf739cf38a55e7384ceb0b53f233a893193",
 }
 
 
 def leaf_digest(program) -> str:
     h = hashlib.sha256()
     for leaf in program.leaves:
+        # The ledger field by field, so its repr does not depend on the
+        # emitter state's type.
         record = (
-            leaf.index, leaf.outcome, leaf.coin_outcome, leaf.ledger, leaf.conditions,
+            leaf.index, leaf.outcome, leaf.coin_outcome, leaf.ledger.events,
+            leaf.ledger.emitter_state.label, leaf.ledger.final_outcome, leaf.conditions,
             leaf.bin_index, leaf.weight_sum_error.hex(), leaf.violations,
             leaf.probability.hex(),
         )

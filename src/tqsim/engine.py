@@ -219,35 +219,19 @@ class LedgerEvent:
     rule_index: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class EmitterState:
-    """Which absorbers answered the emitter, rendered e.g. ``OW(A,B)``."""
-
-    absorbers: tuple[str, ...]
-
-    @classmethod
-    def from_ids(cls, ids: Iterable[str]) -> "EmitterState":
-        return cls(tuple(sorted(set(ids))))
-
-    @property
-    def label(self) -> str:
-        return "OW(" + ",".join(self.absorbers) + ")"
+def emitter_label(absorbers: Iterable[str]) -> str:
+    """The emitter's state: which absorbers answered it, e.g. ``OW(A,B)``."""
+    return "OW(" + ",".join(sorted(set(absorbers))) + ")"
 
 
 @dataclass(frozen=True, slots=True)
 class TrialLedger:
-    """Complete causal record of one trial."""
+    """Complete causal record of one trial; ``emitter_state`` is the label
+    :func:`emitter_label` gives the absorbers the emitter paired its offer with."""
 
     events: tuple[LedgerEvent, ...]
-    emitter_state: EmitterState
+    emitter_state: str
     final_outcome: str
-
-
-def record_emitter_state(events: Iterable[LedgerEvent]) -> EmitterState:
-    """Collect the absorbers whose confirmations are on the record."""
-    return EmitterState.from_ids(
-        e.absorber for e in events if e.kind is EventKind.CW and e.absorber is not None
-    )
 
 
 # -- contingency triggers ----------------------------------------------------
@@ -337,13 +321,14 @@ def check_bilking(ledger: TrialLedger, triggers: Sequence[Trigger] = ()) -> list
         if not events or events[-1].kind not in terminal:
             violations.append("missing-terminal-event")
 
-    expected = record_emitter_state(events)
+    answered = {e.absorber for e in events if e.kind is EventKind.CW and e.absorber is not None}
+    expected = emitter_label(answered)
     if ledger.emitter_state != expected:
         violations.append("emitter-state-mismatch:ledger-disagrees-with-cw-record")
-    if len(successes) == 1 and successes[0].absorber not in expected.absorbers:
-        violations.append(f"outcome-mismatch:{successes[0].absorber}-not-in-{expected.label}")
+    if len(successes) == 1 and successes[0].absorber not in answered:
+        violations.append(f"outcome-mismatch:{successes[0].absorber}-not-in-{expected}")
     for e in events:
-        if e.kind is EventKind.FAILURE and e.absorber not in expected.absorbers:
+        if e.kind is EventKind.FAILURE and e.absorber not in answered:
             violations.append(f"failure-without-cw:{e.absorber}")
 
     return violations

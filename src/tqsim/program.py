@@ -32,7 +32,7 @@ from .engine import (
     TrialLedger,
     check_bilking,
     cuts,
-    record_emitter_state,
+    emitter_label,
     split_unit,
     trigger_satisfied,
 )
@@ -337,7 +337,7 @@ class _Builder:
         events = tuple(walk.events)
         self.ledger_events += len(events)
         self._check_size(self.ledger_events)
-        ledger = TrialLedger(events, record_emitter_state(events), outcome)
+        ledger = TrialLedger(events, emitter_label(tx.absorber for tx in walk.offered), outcome)
         spent = self._spent(events)
         unoffered = math.fsum(
             abs(self.spec.initial_state.amp(ch)) ** 2

@@ -13,7 +13,6 @@ from tqsim import (
     AbsorberConfig,
     Always,
     CoinOutcome,
-    EmitterState,
     EventKind,
     ExperimentSpec,
     IncipientTransaction,
@@ -26,8 +25,8 @@ from tqsim import (
     compile_program,
     confirm,
     cuts,
+    emitter_label,
     initial_transactions,
-    record_emitter_state,
     resolve_hierarchy,
     sort_by_interval,
     spacetime_interval2,
@@ -220,16 +219,9 @@ def test_resolve_step_overweight_candidates():
 # -- emitter states and triggers ----------------------------------------------
 
 def test_emitter_state_label_sorted_and_deduplicated():
-    assert EmitterState.from_ids(["B", "A", "A"]).label == "OW(A,B)"
-    assert EmitterState.from_ids(["A"]).label == "OW(A)"
-
-
-def test_record_emitter_state_reads_cw_events():
-    events = (
-        LedgerEvent(EventKind.CW, 1.0, absorber="A", channel="R", weight=0.5),
-        LedgerEvent(EventKind.SUCCESS, 1.0, absorber="A", channel="R", weight=0.5),
-    )
-    assert record_emitter_state(events) == EmitterState(("A",))
+    assert emitter_label(["B", "A", "A"]) == "OW(A,B)"
+    assert emitter_label(["A"]) == "OW(A)"
+    assert emitter_label([]) == "OW()"
 
 
 def test_trigger_satisfied():
@@ -252,24 +244,25 @@ CONTINGENT = (TransactionFailed("A", 1.0),)
 
 
 def ledger(events, outcome, emitter=None):
+    """A ledger whose emitter state, unless given, names its CW events' absorbers."""
     events = tuple(events)
-    state = emitter if emitter is not None else record_emitter_state(events)
-    return TrialLedger(events, state, outcome)
+    if emitter is None:
+        emitter = emitter_label(e.absorber for e in events if e.kind is EventKind.CW)
+    return TrialLedger(events, emitter, outcome)
 
 
 def ev(kind, time, **kw):
     return LedgerEvent(kind, time, **kw)
 
 
+DIRECT_SUCCESS = (
+    ev(EventKind.CW, 1.0, absorber="A", channel="R", weight=0.5),
+    ev(EventKind.SUCCESS, 1.0, absorber="A", channel="R", weight=0.5),
+)
+
+
 def test_audit_clean_direct_success():
-    lg = ledger(
-        [
-            ev(EventKind.CW, 1.0, absorber="A", channel="R", weight=0.5),
-            ev(EventKind.SUCCESS, 1.0, absorber="A", channel="R", weight=0.5),
-        ],
-        "A",
-    )
-    assert check_bilking(lg, CONTINGENT) == []
+    assert check_bilking(ledger(DIRECT_SUCCESS, "A", emitter="OW(A)"), CONTINGENT) == []
 
 
 def test_audit_clean_contingent_success():
@@ -337,6 +330,11 @@ def test_audit_flags_duplicate_resolution():
     assert "duplicate-resolution:A" in check_bilking(lg, CONTINGENT)
 
 
+def test_audit_flags_recorded_outcome_other_than_the_winner():
+    lg = ledger(DIRECT_SUCCESS, "B")
+    assert check_bilking(lg, CONTINGENT) == ["outcome-mismatch:recorded=B,won=A"]
+
+
 def test_audit_flags_outcome_with_no_success():
     lg = ledger(
         [
@@ -356,15 +354,12 @@ def test_audit_flags_missing_terminal_event():
 
 
 def test_audit_flags_emitter_state_mismatch():
-    lg = ledger(
-        [
-            ev(EventKind.CW, 1.0, absorber="A", channel="R", weight=0.5),
-            ev(EventKind.SUCCESS, 1.0, absorber="A", channel="R", weight=0.5),
-        ],
-        "A",
-        emitter=EmitterState(("A", "B")),
-    )
-    assert "emitter-state-mismatch:ledger-disagrees-with-cw-record" in check_bilking(lg, CONTINGENT)
+    # A's confirmation is on the record, so a state naming B too, or no one, disagrees.
+    for emitter in ("OW(A,B)", "OW()"):
+        lg = ledger(DIRECT_SUCCESS, "A", emitter=emitter)
+        assert check_bilking(lg, CONTINGENT) == [
+            "emitter-state-mismatch:ledger-disagrees-with-cw-record"
+        ]
 
 
 def test_audit_flags_rule_index_out_of_range():

@@ -636,7 +636,7 @@ def test_trial_direct_success():
     assert result.outcome == "A"
     assert result.coin_outcome is None
     assert [e.kind for e in result.ledger.events] == [EventKind.CW, EventKind.SUCCESS]
-    assert result.ledger.emitter_state.label == "OW(A)"
+    assert result.ledger.emitter_state == "OW(A)"
     assert check_bilking(result.ledger, tuple(r.trigger for r in spec.rules)) == []
 
 
@@ -729,7 +729,7 @@ def test_trial_contingent_placement():
     ]
     place = result.ledger.events[2]
     assert (place.absorber, place.rule_index) == ("B", 0)
-    assert result.ledger.emitter_state.label == "OW(A,B)"
+    assert result.ledger.emitter_state == "OW(A,B)"
     assert check_bilking(result.ledger, tuple(r.trigger for r in spec.rules)) == []
 
 
@@ -739,7 +739,7 @@ def test_trial_diverted_channel():
     assert result.outcome == "B_prime"
     kinds = [e.kind for e in result.ledger.events]
     assert EventKind.DIVERT in kinds
-    assert result.ledger.emitter_state.label == "OW(A,B_prime)"
+    assert result.ledger.emitter_state == "OW(A,B_prime)"
     confirmed = {e.absorber for e in result.ledger.events if e.kind is EventKind.CW}
     assert "B" not in confirmed  # the boxed absorber never answers
 

@@ -206,7 +206,7 @@ def leaf_digest(program) -> str:
         # emitter state's type.
         record = (
             leaf.index, leaf.outcome, leaf.coin_outcome, leaf.ledger.events,
-            leaf.ledger.emitter_state.label, leaf.ledger.final_outcome, leaf.conditions,
+            leaf.ledger.emitter_state, leaf.ledger.final_outcome, leaf.conditions,
             leaf.bin_index, leaf.weight_sum_error.hex(), leaf.violations,
             leaf.probability.hex(),
         )

@@ -638,6 +638,13 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
     if spec.screen is not None:
         if len(state.labels) != 2:
             problems.append("screen model needs a two-channel state")
+        else:
+            # Finite fields can still overflow the path phase (L / lambda).
+            try:
+                with np.errstate(all="ignore"):
+                    screen_amplitudes(spec.screen, state)
+            except ValueError as e:
+                problems.append(f"screen: geometry gives no finite bin basis ({e})")
         bin_times = {a.position.t for a in spec.absorbers if a.channel in bin_channels}
         if len(bin_times) > 1:
             problems.append("screen bins must share one absorption time")

@@ -153,6 +153,17 @@ def test_validate_rejects_huge_bin_count_in_bounded_memory(tmp_path):
     assert proc.stderr == "screen bins and bin absorbers disagree\n"
 
 
+@pytest.mark.parametrize("field,value", [("lambda", 1e-308), ("d", 1e308), ("L", 1e308), ("span", 1e308)])
+def test_validate_locates_a_screen_whose_amplitudes_overflow(tmp_path, field, value):
+    # Every field is finite, but a path over the wavelength overflows to inf.
+    doc = spec_to_document(dce_spec("keep"))
+    doc["screen"][field] = value
+    proc = run_bounded(["validate", write_doc(tmp_path, doc)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("screen:")
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def wide_screen_doc(bins):
     """dce-keep on a ``bins``-bin screen of the bundled bin width."""
     doc = spec_to_document(dce_spec("keep"))

@@ -628,6 +628,79 @@ def test_validate_bin_absorbers_need_a_screen():
     assert "bin absorbers declared without a screen model" in validate_spec(spec)
 
 
+def _set(*path, value):
+    """A document mutation that sets the entry at ``path`` to ``value``."""
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
+def _move_absorber(aid, t):
+    def mutate(doc):
+        next(a for a in doc["absorbers"] if a["id"] == aid)["t"] = t
+    return mutate
+
+
+def _add_rule(action, time):
+    return lambda doc: doc.setdefault("rules", []).append(
+        {"trigger": {"kind": "always"}, "action": action, "time": time}
+    )
+
+
+_MOVED_B = {"kind": "place", "id": "B", "channel": "L", "t": 2.0, "x": -2.0}
+_Z_BEFORE_SCREEN = {"kind": "place", "id": "Z", "channel": "slitA", "t": 1.8, "x": 0.0}
+_UNNORMALIZED = StateVector(("R", "L"), (1 + 0j, 1 + 0j))
+
+# (builtin, mutation, message): a mutation edits the builtin's document in
+# place, or returns a spec built in Python, which never passes load_spec.
+REFUSALS = [
+    # load_spec
+    ("maudlin", _set("emission", value=5), "emission: expected an object"),
+    ("maudlin", _set("name", value=""), "document: field 'name' must be a non-empty string"),
+    ("maudlin", _set("rules", 0, "trigger", value={}), "rules[0].trigger: trigger needs a 'kind'"),
+    ("maudlin", _set("rules", 0, "action", value={}), "rules[0].action: action needs a 'kind'"),
+    ("maudlin", _set("state", value=[]), "state: expected a non-empty list of channel amplitudes"),
+    ("maudlin", _set("absorbers", value={}), "absorbers: expected a list"),
+    ("dce-coinflip", _set("coin", "labels", value=[1, 2]), "coin: field 'labels' must be a list of strings"),
+    ("dce-coinflip", _set("coin", "weights", value="half"), "coin: field 'weights' must be a list of numbers"),
+    ("dce-keep", _set("screen", "bins", value=201.0), "screen: field 'bins' must be an integer"),
+    # validate_spec
+    (
+        "dce-coinflip",
+        _set("rules", 0, "trigger", "label", value="sideways"),
+        "rule 0 trigger references unknown coin label 'sideways'",
+    ),
+    ("maudlin", _set("rules", 0, "action", "channel", value="Q"), "rule 0 acts on unknown channel 'Q'"),
+    ("maudlin", _add_rule(_MOVED_B, 2.0), "rules place absorber 'B' at conflicting positions"),
+    ("maudlin", _add_rule({"kind": "remove-screen"}, 0.5), "rule 1 removes a screen but none is configured"),
+    ("dce-keep", _add_rule(_Z_BEFORE_SCREEN, 1.0), "rule 0 puts 'Z' in front of the screen arrival at t=2.0"),
+    ("dce-keep", _move_absorber("TB", 1.5), "absorber 'TB' would absorb before the screen arrival at t=2.0"),
+    ("dce-coinflip", _set("coin", "labels", value=["up", "up"]), "coin needs at least two distinct labels"),
+    ("dce-coinflip", _set("coin", "weights", value=[1.0]), "coin weights and labels differ in length"),
+    (
+        "dce-keep",
+        lambda doc: doc["state"].append({"channel": "slitC", "re": 0.5}),
+        "screen model needs a two-channel state",
+    ),
+    # One bin absorber missing, yet no fewer absorbers than bins: the late check.
+    ("dce-keep", lambda doc: doc["absorbers"].remove(doc["absorbers"][0]), "screen bins and bin absorbers disagree"),
+    ("maudlin", lambda doc: replace(maudlin_spec(), initial_state=_UNNORMALIZED), "state not normalized"),
+]
+
+
+@pytest.mark.parametrize("name,mutate,message", REFUSALS, ids=[m for *_, m in REFUSALS])
+def test_refusal_locates_the_problem(name, mutate, message):
+    doc = spec_to_document(builtin_spec(name))
+    try:
+        problems = validate_spec(mutate(doc) or load_spec(doc, validate=False))
+    except SpecError as e:
+        problems = [str(e)]
+    assert message in problems
+
+
 # -- single trials ------------------------------------------------------------
 
 def test_trial_direct_success():

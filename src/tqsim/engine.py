@@ -226,8 +226,7 @@ def emitter_label(absorbers: Iterable[str]) -> str:
 
 @dataclass(frozen=True, slots=True)
 class TrialLedger:
-    """Complete causal record of one trial; ``emitter_state`` is the label
-    :func:`emitter_label` gives the absorbers the emitter paired its offer with."""
+    """Complete causal record of one trial; ``emitter_state`` is its :func:`emitter_label`."""
 
     events: tuple[LedgerEvent, ...]
     emitter_state: str

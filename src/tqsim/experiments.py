@@ -639,8 +639,7 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
         if len(state.labels) != 2:
             problems.append("screen model needs a two-channel state")
         else:
-            # Finite fields can still overflow the path phase (L / lambda).
-            try:
+            try:  # finite fields can still overflow the path phase L / lambda
                 with np.errstate(all="ignore"):
                     screen_amplitudes(spec.screen, state)
             except ValueError as e:
@@ -709,15 +708,13 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             else:
                 if action.channel not in per_channel:
                     problems.append(f"rule {i} diverts channel {action.channel!r} with no absorber")
-        else:
-            if spec.screen is None:
-                problems.append(f"rule {i} removes a screen but none is configured")
-
-        if screen_time is not None and isinstance(action, (PlaceAbsorber, DivertChannel)):
-            if action.position.t <= screen_time:
+            if screen_time is not None and action.position.t <= screen_time:
                 problems.append(
                     f"rule {i} puts {aid!r} in front of the screen arrival at t={screen_time}"
                 )
+        else:
+            if spec.screen is None:
+                problems.append(f"rule {i} removes a screen but none is configured")
 
     # A NaN or infinite squared interval would rank its candidate anywhere
     # under hierarchy.  A non-finite time is refused on its own, at compile.

@@ -141,8 +141,8 @@ def run_experiment(spec: ExperimentSpec, config: RunConfig) -> tuple[FrequencyTa
         for condition in leaf.conditions:
             bucket = cond.setdefault(condition, {})
             bucket[leaf.outcome] = bucket.get(leaf.outcome, 0) + c
-        state = leaf.ledger.emitter_state
-        emitter[state] = emitter.get(state, 0) + c
+        label = leaf.ledger.emitter_state
+        emitter[label] = emitter.get(label, 0) + c
         if leaf.bin_index is not None:
             hist[leaf.bin_index] += c
         if any(map(is_mismatch, leaf.violations)):

@@ -638,12 +638,6 @@ def _set(*path, value):
     return mutate
 
 
-def _move_absorber(aid, t):
-    def mutate(doc):
-        next(a for a in doc["absorbers"] if a["id"] == aid)["t"] = t
-    return mutate
-
-
 def _add_rule(action, time):
     return lambda doc: doc.setdefault("rules", []).append(
         {"trigger": {"kind": "always"}, "action": action, "time": time}
@@ -677,7 +671,7 @@ REFUSALS = [
     ("maudlin", _add_rule(_MOVED_B, 2.0), "rules place absorber 'B' at conflicting positions"),
     ("maudlin", _add_rule({"kind": "remove-screen"}, 0.5), "rule 1 removes a screen but none is configured"),
     ("dce-keep", _add_rule(_Z_BEFORE_SCREEN, 1.0), "rule 0 puts 'Z' in front of the screen arrival at t=2.0"),
-    ("dce-keep", _move_absorber("TB", 1.5), "absorber 'TB' would absorb before the screen arrival at t=2.0"),
+    ("dce-keep", _set("absorbers", -1, "t", value=1.5), "absorber 'TB' would absorb before the screen arrival at t=2.0"),
     ("dce-coinflip", _set("coin", "labels", value=["up", "up"]), "coin needs at least two distinct labels"),
     ("dce-coinflip", _set("coin", "weights", value=[1.0]), "coin weights and labels differ in length"),
     (

@@ -199,16 +199,18 @@ LEAF_GOLDEN = {
 }
 
 
-def leaf_digest(program) -> str:
+def leaf_digest(program, spec) -> str:
     h = hashlib.sha256()
+    bins = spec.screen.bin_labels() if spec.screen else ()
     for leaf in program.leaves:
         # The ledger field by field, so its repr does not depend on the
-        # emitter state's type.
+        # emitter state's type; the leaf's screen bin (None off the screen)
+        # rendered from the spec, where the records once stored it.
         record = (
             leaf.index, leaf.outcome, leaf.coin_outcome, leaf.ledger.events,
             leaf.ledger.emitter_state, leaf.ledger.final_outcome, leaf.conditions,
-            leaf.bin_index, leaf.weight_sum_error.hex(), leaf.violations,
-            leaf.probability.hex(),
+            bins.index(leaf.outcome) if leaf.outcome in bins else None,
+            leaf.weight_sum_error.hex(), leaf.violations, leaf.probability.hex(),
         )
         h.update((repr(record) + "\n").encode())
     return h.hexdigest()
@@ -221,7 +223,7 @@ def _leaf_program(name, strategy, tie_break):
 @pytest.mark.parametrize("name,strategy,tie_break", leaf_cases())
 def test_leaf_record_digests(name, strategy, tie_break):
     program = _leaf_program(name, strategy, tie_break)
-    assert leaf_digest(program) == LEAF_GOLDEN.get((name, strategy, tie_break))
+    assert leaf_digest(program, _leaf_spec(name)) == LEAF_GOLDEN.get((name, strategy, tie_break))
 
 
 def test_leaf_golden_has_no_stale_entries():
@@ -274,7 +276,7 @@ def _print_tables():
     print()
     print("LEAF_GOLDEN = {")
     for name, strategy, tie_break in leaf_cases():
-        digest = leaf_digest(_leaf_program(name, strategy, tie_break))
+        digest = leaf_digest(_leaf_program(name, strategy, tie_break), _leaf_spec(name))
         print(f'    ("{name}", "{strategy}", {tie_break}): "{digest}",')
     print("}")
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import COVERAGE_ATOL, ResolutionStrategy, is_mismatch
+from .engine import COVERAGE_ATOL, ResolutionStrategy
 from .experiments import ExperimentSpec
 from .program import classify_counts, compile_program
 
@@ -125,46 +125,26 @@ def run_experiment(spec: ExperimentSpec, config: RunConfig) -> tuple[FrequencyTa
     with ThreadPoolExecutor(max_workers=workers) as pool:
         leaf_counts = np.sum(list(pool.map(count_chunk, spans)), axis=0)
 
-    counts: dict[str, int] = {}
+    # Keys come sorted; the tables leave out those no trial reached.
+    tally = program.tally(leaf_counts.tolist(), sum)
     cond: dict[str, dict[str, int]] = {}
-    emitter: dict[str, int] = {}
-    has_bins = any(leaf.bin_index is not None for leaf in program.leaves)
-    hist = np.zeros(spec.screen.bins, dtype=np.int64) if has_bins else None
-    bilking = 0
-    mismatches = 0
-    weight_err = 0.0
-    for leaf, c in zip(program.leaves, leaf_counts):
-        c = int(c)
-        if c == 0:
-            continue
-        counts[leaf.outcome] = counts.get(leaf.outcome, 0) + c
-        for condition in leaf.conditions:
-            bucket = cond.setdefault(condition, {})
-            bucket[leaf.outcome] = bucket.get(leaf.outcome, 0) + c
-        label = leaf.ledger.emitter_state
-        emitter[label] = emitter.get(label, 0) + c
-        if leaf.bin_index is not None:
-            hist[leaf.bin_index] += c
-        if any(map(is_mismatch, leaf.violations)):
-            mismatches += c
-        if not all(map(is_mismatch, leaf.violations)):
-            bilking += c
-        weight_err = max(weight_err, leaf.weight_sum_error)
-
+    for (condition, outcome), c in tally["conditionals"].items():
+        if c:
+            cond.setdefault(condition, {})[outcome] = c
+    outcomes = tally["outcomes"]
+    bins = spec.screen.bin_labels() if spec.screen else ()
     histogram = None
-    if hist is not None:
-        histogram = Histogram(
-            tuple(float(x) for x in spec.screen.bin_centers()),
-            tuple(int(x) for x in hist),
-        )
+    if not outcomes.keys().isdisjoint(bins):
+        histogram = Histogram(tuple(map(float, spec.screen.bin_centers())), tuple(outcomes.get(b, 0) for b in bins))
     table = FrequencyTable(
         n_trials=n,
-        counts=dict(sorted(counts.items())),
-        conditional_counts={k: dict(sorted(v.items())) for k, v in sorted(cond.items())},
-        emitter_state_counts=dict(sorted(emitter.items())),
+        counts={k: c for k, c in outcomes.items() if c},
+        conditional_counts=cond,
+        emitter_state_counts={k: c for k, c in tally["emitter_states"].items() if c},
         histogram=histogram,
     )
-    report = ConsistencyReport(bilking, mismatches, weight_err)
+    weight_err = max((leaf.weight_sum_error for leaf, c in zip(program.leaves, leaf_counts) if c), default=0.0)
+    report = ConsistencyReport(tally["flags"]["bilking"], tally["flags"]["mismatch"], weight_err)
     return table, report
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .engine import (
     check_bilking,
     cuts,
     emitter_label,
+    is_mismatch,
     split_unit,
     trigger_satisfied,
 )
@@ -60,7 +61,6 @@ class Leaf:
     coin_outcome: str | None
     ledger: TrialLedger
     conditions: tuple[str, ...]
-    bin_index: int | None
     weight_sum_error: float
     violations: tuple[str, ...]
     probability: float
@@ -84,6 +84,29 @@ class TrialProgram:
         while isinstance(node, Node):
             node = node.children[bisect.bisect_right(node.cuts, rng.random())]
         return node
+
+    @cached_property
+    def census(self) -> dict[str, dict]:
+        """Each tally field's keys, sorted, and each key's leaf indices: the
+        outcomes, (condition, outcome) pairs, emitter states, and the
+        ``bilking`` and ``mismatch`` flags (see :func:`is_mismatch`)."""
+        fields = {"outcomes": {}, "conditionals": {}, "emitter_states": {}, "flags": {"bilking": [], "mismatch": []}}
+        for leaf in self.leaves:
+            mismatch = [is_mismatch(v) for v in leaf.violations]
+            keyed = [("outcomes", leaf.outcome), ("emitter_states", leaf.ledger.emitter_state)]
+            keyed += [("conditionals", (c, leaf.outcome)) for c in leaf.conditions]
+            keyed += [("flags", "bilking")] * (not all(mismatch)) + [("flags", "mismatch")] * any(mismatch)
+            for name, key in keyed:
+                fields[name].setdefault(key, []).append(leaf.index)
+        return {name: dict(sorted(keys.items())) for name, keys in fields.items()}
+
+    def tally(self, weights: Sequence, total: Callable = math.fsum) -> dict[str, dict]:
+        """Each census key's ``total`` over its leaves' ``weights`` (one per
+        leaf): trial counts give a run's tables, probabilities their law."""
+        return {
+            name: {key: total([weights[i] for i in idx]) for key, idx in keys.items()}
+            for name, keys in self.census.items()
+        }
 
 
 def _coin_face(events: Sequence[LedgerEvent]) -> str | None:
@@ -118,9 +141,6 @@ class _Builder:
         self.tie_break = tie_break
         self.bin_channels = spec.bin_channels()
         self.state_channels = set(spec.initial_state.labels)
-        self.bin_index = (
-            {label: i for i, label in enumerate(spec.screen.bin_labels())} if spec.screen else {}
-        )
         self.triggers = tuple(r.trigger for r in spec.rules)
         self.trigger_refs = {t.absorber for t in self.triggers if isinstance(t, TransactionFailed)}
         self.leaves: list[Leaf] = []
@@ -350,7 +370,6 @@ class _Builder:
             coin_outcome=_coin_face(events),
             ledger=ledger,
             conditions=self._conditions(events),
-            bin_index=self.bin_index.get(outcome),
             weight_sum_error=abs(math.fsum(tx.weight for tx in walk.offered) + unoffered - 1.0),
             violations=tuple(check_bilking(ledger, self.triggers)),
             probability=walk.prob,
@@ -454,7 +473,4 @@ def outcome_distribution(
 ) -> dict[str, float]:
     """Exact outcome probabilities by summing leaf reach probabilities."""
     program = compile_program(spec, ResolutionStrategy(strategy), tie_break)
-    acc: dict[str, list[float]] = {}
-    for leaf in program.leaves:
-        acc.setdefault(leaf.outcome, []).append(leaf.probability)
-    return {k: math.fsum(v) for k, v in sorted(acc.items())}
+    return program.tally([leaf.probability for leaf in program.leaves])["outcomes"]

@@ -87,7 +87,7 @@ def hand_built_program():
     """Internal children first, in the middle and last; a repeated cut
     leaves a zero-width slice at every level."""
     leaves = tuple(
-        Leaf(i, f"L{i}", None, None, (), None, 0.0, (), 0.0) for i in range(12)
+        Leaf(i, f"L{i}", None, None, (), 0.0, (), 0.0) for i in range(12)
     )
     first = Node(1, (0.3, 0.6), leaves[0:3])
     deep = Node(2, (0.25, 0.25, 0.75), leaves[5:9])

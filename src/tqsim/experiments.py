@@ -115,8 +115,8 @@ class ScreenModel:
         if self.bins < 3 or self.bins % 2 == 0:
             raise ValueError("screen needs an odd bin count of at least 3")
         for name in ("slit_separation", "wavelength", "distance", "span"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def bin_width(self) -> float:
@@ -151,8 +151,12 @@ def screen_amplitudes(model: ScreenModel, state: StateVector) -> StateVector:
     Each bin amplitude sums the channel amplitudes propagated over their
     path lengths; the result is normalized over bins.
     """
-    amps = sum(_slit_terms(model, state))
-    return normalize(StateVector(model.bin_labels(), tuple(map(complex, amps))))
+    with np.errstate(all="ignore"):  # finite fields can still overflow the phase L / lambda
+        amps = sum(_slit_terms(model, state))
+    try:
+        return normalize(StateVector(model.bin_labels(), tuple(map(complex, amps))))
+    except ValueError as e:
+        raise ValueError(f"screen: geometry gives no finite bin basis ({e})") from None
 
 
 def screen_distribution(
@@ -636,14 +640,10 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
 
     screen_time = None
     if spec.screen is not None:
-        if len(state.labels) != 2:
-            problems.append("screen model needs a two-channel state")
-        else:
-            try:  # finite fields can still overflow the path phase L / lambda
-                with np.errstate(all="ignore"):
-                    screen_amplitudes(spec.screen, state)
-            except ValueError as e:
-                problems.append(f"screen: geometry gives no finite bin basis ({e})")
+        try:  # a two-channel state, and a geometry with a finite bin basis
+            screen_amplitudes(spec.screen, state)
+        except ValueError as e:
+            problems.append(str(e))
         bin_times = {a.position.t for a in spec.absorbers if a.channel in bin_channels}
         if len(bin_times) > 1:
             problems.append("screen bins must share one absorption time")

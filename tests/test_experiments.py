@@ -164,6 +164,22 @@ def test_screen_model_rejects_nonpositive_lengths():
         ScreenModel(2.0, 1.0, 100.0, 3, 0.0)
 
 
+@pytest.mark.parametrize("field", ["slit_separation", "wavelength", "distance", "span"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_screen_model_rejects_non_finite_lengths(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite$"):
+        replace(dce_spec("keep").screen, **{field: value})
+
+
+def test_compile_locates_a_screen_whose_amplitudes_overflow():
+    # Every field is finite and positive, so the screen model takes it; the
+    # path over the wavelength overflows when the screen answers.
+    spec = dce_spec("keep")
+    spec = replace(spec, screen=replace(spec.screen, wavelength=1e-308))
+    with pytest.raises(ValueError, match=r"^screen: geometry gives no finite bin basis \("):
+        compile_program.__wrapped__(spec, "sequential")
+
+
 def test_screen_amplitudes_normalized_with_central_peak():
     spec = dce_spec("keep")
     binned = screen_amplitudes(spec.screen, spec.initial_state)

@@ -135,7 +135,8 @@ def run_experiment(spec: ExperimentSpec, config: RunConfig) -> tuple[FrequencyTa
     bins = spec.screen.bin_labels() if spec.screen else ()
     histogram = None
     if not outcomes.keys().isdisjoint(bins):
-        histogram = Histogram(tuple(map(float, spec.screen.bin_centers())), tuple(outcomes.get(b, 0) for b in bins))
+        centers = tuple(float(x) for x in spec.screen.bin_centers())
+        histogram = Histogram(centers, tuple(outcomes.get(b, 0) for b in bins))
     table = FrequencyTable(
         n_trials=n,
         counts={k: c for k, c in outcomes.items() if c},

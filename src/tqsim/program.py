@@ -90,7 +90,8 @@ class TrialProgram:
         """Each tally field's keys, sorted, and each key's leaf indices: the
         outcomes, (condition, outcome) pairs, emitter states, and the
         ``bilking`` and ``mismatch`` flags (see :func:`is_mismatch`)."""
-        fields = {"outcomes": {}, "conditionals": {}, "emitter_states": {}, "flags": {"bilking": [], "mismatch": []}}
+        fields: dict[str, dict] = {"outcomes": {}, "conditionals": {}, "emitter_states": {}}
+        fields["flags"] = {"bilking": [], "mismatch": []}
         for leaf in self.leaves:
             mismatch = [is_mismatch(v) for v in leaf.violations]
             keyed = [("outcomes", leaf.outcome), ("emitter_states", leaf.ledger.emitter_state)]

@@ -73,7 +73,7 @@ def _face_law(spec: ExperimentSpec, face: str | None) -> dict[str, float]:
                 failed.add((a, now))
                 spent.add(ch)
         if spent & bins:
-            spent = state_channels | spent
+            spent |= state_channels
     unanswered = [abs(amp) ** 2 for ch, amp in zip(spec.initial_state.labels, spec.initial_state.amps)
                   if ch not in spent]
     if unanswered:

@@ -15,6 +15,8 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .quantum import StateVector
@@ -133,7 +135,7 @@ def split_unit(weights: Sequence[float], mass: float = 1.0) -> tuple[tuple[float
     the last weight gets its own cut when it is wider than ``RESIDUAL_SNAP``;
     a narrower sliver is rounding, and the last weight's slice runs to 1.
     """
-    cum = [math.fsum(weights[: i + 1]) / mass for i in range(len(weights))]
+    cum = [float(p) / mass for p in accumulate(map(Fraction, weights))]
     residual = 1.0 - (cum[-1] if cum else 0.0)
     if residual > RESIDUAL_SNAP:
         return tuple(cum), residual

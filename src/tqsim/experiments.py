@@ -138,11 +138,14 @@ def _slit_terms(model: ScreenModel, state: StateVector) -> list[np.ndarray]:
         raise ValueError("screen model needs a two-channel state")
     centers = model.bin_centers()
     slit_x = (model.slit_separation / 2.0, -model.slit_separation / 2.0)
-    return [
-        state.amp(label)
-        * np.exp(2j * math.pi * np.hypot(model.distance, centers - sx) / model.wavelength)
-        for label, sx in zip(state.labels, slit_x)
-    ]
+    with np.errstate(all="ignore"):  # finite fields can still overflow the phase L / lambda
+        terms = [
+            amp * np.exp(2j * math.pi * np.hypot(model.distance, centers - sx) / model.wavelength)
+            for amp, sx in zip(state.amps, slit_x)
+        ]
+    if not all(np.isfinite(term).all() for term in terms):
+        raise ValueError("screen: geometry gives no finite bin basis (a path phase is not finite)")
+    return terms
 
 
 def screen_amplitudes(model: ScreenModel, state: StateVector) -> StateVector:
@@ -151,8 +154,7 @@ def screen_amplitudes(model: ScreenModel, state: StateVector) -> StateVector:
     Each bin amplitude sums the channel amplitudes propagated over their
     path lengths; the result is normalized over bins.
     """
-    with np.errstate(all="ignore"):  # finite fields can still overflow the phase L / lambda
-        amps = sum(_slit_terms(model, state))
+    amps = sum(_slit_terms(model, state))
     try:
         return normalize(StateVector(model.bin_labels(), tuple(map(complex, amps))))
     except ValueError as e:
@@ -739,7 +741,7 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             problems.append("coin needs at least two distinct labels")
         if len(coin.weights) != len(coin.labels):
             problems.append("coin weights and labels differ in length")
-        elif any(w < 0 for w in coin.weights) or abs(math.fsum(coin.weights) - 1.0) > 1e-12:
+        elif not all(0 <= w < math.inf for w in coin.weights) or abs(math.fsum(coin.weights) - 1.0) > 1e-12:
             problems.append("coin weights must be non-negative and sum to 1")
         if coin.flip_time <= spec.emission.t:
             problems.append("coin flips before emission")

@@ -20,6 +20,8 @@ from .program import classify_counts, compile_program
 
 # Fixed chunk size: the work split never depends on the worker count.
 CHUNK_TRIALS = 50_000
+# Uniforms one chunk's table may hold: deep trees get fewer rows per chunk.
+CHUNK_VALUES = 8 * CHUNK_TRIALS
 
 # Moving-average window for reading fringe visibility off an empirical
 # histogram (full windows only, so the edges drop out).
@@ -113,7 +115,8 @@ def run_experiment(spec: ExperimentSpec, config: RunConfig) -> tuple[FrequencyTa
     program = compile_program(spec, config.strategy, config.hierarchy_tie_break)
     n = config.n_trials
     width = table_width(program.draws)
-    spans = [(a, min(a + CHUNK_TRIALS, n)) for a in range(0, n, CHUNK_TRIALS)]
+    rows = min(CHUNK_TRIALS, CHUNK_VALUES // max(width, 1))
+    spans = [(a, min(a + rows, n)) for a in range(0, n, rows)]
 
     def count_chunk(span: tuple[int, int]) -> np.ndarray:
         # Looked up at call time, so a module attribute swapped in by a

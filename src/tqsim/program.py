@@ -70,7 +70,7 @@ class Leaf:
 class Node:
     draw: int
     cuts: tuple[float, ...]
-    children: tuple["Node | Leaf", ...]
+    children: list["Node | Leaf"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +154,16 @@ class _Builder:
             not isinstance(t, Always) for t in self.triggers
         ):
             raise StrategyError("strategy requires fixed absorber set")
-        root = self._grow(self._initial_walk())
-        return TrialProgram(root, tuple(self.leaves), self.max_draws)
+        # A frame is (walk, events it records first, winner or None, the
+        # children list its result fills, slot).  Children are pushed last
+        # first, so leaves come out depth first in cut order.
+        root = [None]
+        frames = [(self._initial_walk(), (), None, root, 0)]
+        while frames:
+            walk, events, winner, children, slot = frames.pop()
+            walk.events += events
+            children[slot] = self._grow(walk, frames) if winner is None else self._success(walk, winner)
+        return TrialProgram(root[0], tuple(self.leaves), self.max_draws)
 
     def _check_times(self) -> None:
         """Refuse a non-finite time: events are matched by exact time, so an
@@ -177,11 +185,13 @@ class _Builder:
 
     def _initial_walk(self) -> _Walk:
         present: dict[str, tuple[str, SpacetimePoint]] = {}
+        occupied: set[str] = set()
         for a in self.spec.absorbers:
             if not a.initially_present:
                 continue
-            if any(ch == a.channel for ch, _ in present.values()):
+            if a.channel in occupied:
                 raise ValueError(f"two absorbers on channel {a.channel!r} simultaneously present")
+            occupied.add(a.channel)
             present[a.id] = (a.channel, a.position)
         return _Walk(self.spec.emission.t, present)
 
@@ -209,61 +219,56 @@ class _Builder:
         # Kinds differ, so the rule lists are never compared.
         return min(candidates) if candidates else None
 
-    def _grow(self, walk: _Walk) -> Node | Leaf:
-        """Run the branch event by event.  Sequential resolution settles each
-        absorption as it happens; the fixed strategies resolve once, over
-        everything offered, after the last event."""
+    def _grow(self, walk: _Walk, frames: list) -> Node | Leaf:
+        """Run the branch event by event up to its first split or its leaf.
+        Sequential resolution settles each absorption as it happens; the
+        fixed strategies resolve once, over everything offered, after the
+        last event."""
         sequential = self.strategy is ResolutionStrategy.SEQUENTIAL
         while (event := self._next_event(walk)) is not None:
             t, kind, due = event
             if kind == _COIN:
-                return self._coin_node(walk)
+                coin = self.spec.coin
+                if not all(map(math.isfinite, coin.weights)):
+                    raise ValueError("coin weights must be finite numbers")
+                points, residual = split_unit(coin.weights)
+                if residual:
+                    raise ValueError("coin weights must sum to 1")
+                walk.time = t
+                faces = [([LedgerEvent(EventKind.COIN, t, label=label)], None) for label in coin.labels]
+                return self._split(walk, points, faces, frames)
             if kind == _ACTIONS:
                 self._apply_actions_at(walk, t, due)
             elif (txs := self._absorb_event(walk, t)) and sequential:
                 # Every candidate offered before these has failed on this branch.
                 burned = math.fsum(tx.weight for tx in walk.offered[: -len(txs)])
-                return self._resolve(walk, cuts(self.strategy, txs, burned))
+                return self._resolve(walk, cuts(self.strategy, txs, burned), frames)
         if sequential:
             return self._leaf(walk, NO_OUTCOME, terminal=EventKind.NO_TRANSACTION)
         split = cuts(self.strategy, walk.offered, tie_break=self.tie_break)
         if split == DEGENERATE:
             return self._leaf(walk, DEGENERATE, terminal=EventKind.DEGENERATE)
-        return self._resolve(walk, split)
+        return self._resolve(walk, split, frames)
 
-    def _split(self, walk: _Walk, points: tuple[float, ...], grow) -> Node:
-        """A node drawing one uniform: child i grows, via ``grow(i, child)``,
-        from a copy of ``walk`` weighted by the width of slice i."""
-        children = []
-        prev = 0.0
-        for i, hi in enumerate(points + (1.0,)):
+    def _split(self, walk: _Walk, points: tuple[float, ...], outcomes: list, frames: list) -> Node:
+        """A node drawing one uniform.  Outcome i is (events, winner or
+        None): its frame grows from a copy of ``walk`` weighted by the width
+        of slice i, which records those events first."""
+        node = Node(walk.draws, points, [None] * len(outcomes))
+        bounds = (0.0,) + points + (1.0,)
+        for i in reversed(range(len(outcomes))):
             child = walk.clone()
             child.draws = walk.draws + 1
-            child.prob = walk.prob * (hi - prev)
-            children.append(grow(i, child))
-            prev = hi
-        return Node(walk.draws, points, tuple(children))
+            child.prob = walk.prob * (bounds[i + 1] - bounds[i])
+            frames.append((child, *outcomes[i], node.children, i))
+        return node
 
-    def _coin_node(self, walk: _Walk) -> Node:
-        coin = self.spec.coin
-        points, residual = split_unit(coin.weights)
-        if residual:
-            raise ValueError("coin weights must sum to 1")
-
-        def flip(j: int, child: _Walk) -> Node | Leaf:
-            label = coin.labels[j]
-            child.time = coin.flip_time
-            child.events.append(LedgerEvent(EventKind.COIN, coin.flip_time, label=label))
-            return self._grow(child)
-
-        return self._split(walk, points, flip)
-
-    def _resolve(self, walk: _Walk, split: tuple) -> Node | Leaf:
+    def _resolve(self, walk: _Walk, split: tuple, frames: list) -> Node | Leaf:
         """Branch on which candidate wins, plus (sequential only) the residual
         branch on which every candidate fails and the walk goes on."""
         ordered, points, residual = split
         if len(ordered) == 1 and not residual:
-            return self._success(walk.clone(), ordered[0])
+            return self._success(walk, ordered[0])
         hierarchy = self.strategy is ResolutionStrategy.HIERARCHY
         # Each child copies this branch's record, and winner i's leaf adds
         # its losers' failures and its success: refuse the tree now if those
@@ -274,22 +279,19 @@ class _Builder:
             self.ledger_events + (n + bool(residual)) * len(walk.events) + failures + n
         )
 
-        # One failure event per candidate, shared by every child that records it.
+        # One failure event per candidate, shared by every child that records
+        # it.  The hierarchy walk stops at its winner, so only nearer
+        # candidates were tried and failed.
         fails = [
             LedgerEvent(EventKind.FAILURE, tx.absorbed_at.t, absorber=tx.absorber, channel=tx.channel)
             for tx in ordered
         ]
-
-        def settle(i: int, child: _Walk) -> Node | Leaf:
-            if i == len(ordered):
-                child.events += fails
-                return self._grow(child)
-            # The hierarchy walk stops at its winner, so only nearer
-            # candidates were tried and failed.
-            child.events += fails[:i] if hierarchy else fails[:i] + fails[i + 1:]
-            return self._success(child, ordered[i])
-
-        return self._split(walk, points, settle)
+        outcomes = [
+            (fails[:i] if hierarchy else fails[:i] + fails[i + 1:], tx) for i, tx in enumerate(ordered)
+        ]
+        if residual:
+            outcomes.append((fails, None))
+        return self._split(walk, points, outcomes, frames)
 
     def _apply_actions_at(self, walk: _Walk, t: float, due: list[int]) -> None:
         """Fire the due rules, in rule-index order, at time ``t``."""
@@ -360,11 +362,8 @@ class _Builder:
         self._check_size(self.ledger_events)
         ledger = TrialLedger(events, emitter_label(tx.absorber for tx in walk.offered), outcome)
         spent = self._spent(events)
-        unoffered = math.fsum(
-            abs(self.spec.initial_state.amp(ch)) ** 2
-            for ch in self.spec.initial_state.labels
-            if ch not in spent
-        )
+        state = self.spec.initial_state
+        unoffered = math.fsum(abs(a) ** 2 for ch, a in zip(state.labels, state.amps) if ch not in spent)
         leaf = Leaf(
             index=len(self.leaves),
             outcome=outcome,

@@ -104,13 +104,13 @@ def test_validate_rejects_nan_time_in_bounded_time(tmp_path):
     assert proc.stderr == "error: absorbers[1]: field 't' must be a finite number\n"
 
 
-def run_bounded(argv, preamble=""):
+def run_bounded(argv, preamble="", timeout=60):
     """``sim ARGV`` in a separate process with a timeout, so a regression
     cannot hang the suite; ``preamble`` runs first (e.g. to cap memory)."""
     code = preamble + "\nfrom tqsim.cli import main\nimport sys\nraise SystemExit(main(sys.argv[1:]))"
     env = dict(os.environ, PYTHONPATH=str(Path(tqsim.__file__).resolve().parents[1]))
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=timeout, env=env
     )
 
 
@@ -176,6 +176,65 @@ def wide_screen_doc(bins):
         for k in range(bins)
     ] + telescopes
     return doc
+
+
+def chain_doc(channels, t=None):
+    """``channels`` equal-weight channels with one absorber each.  They
+    absorb at t = 1, 2, ..., one per sequential round, or all at ``t`` in
+    one round."""
+    amp = math.sqrt(1.0 / channels)
+    return {
+        "name": f"chain-{channels}",
+        "emission": {"t": 0.0, "x": 0.0},
+        "state": [{"channel": f"c{k}", "re": amp} for k in range(channels)],
+        "absorbers": [
+            {"id": f"a{k}", "channel": f"c{k}", "t": t or k + 1.0, "x": 0.0, "present": True}
+            for k in range(channels)
+        ],
+    }
+
+
+@pytest.mark.parametrize("rounds", [260, 1000])
+def test_validate_accepts_a_deep_chain(tmp_path, rounds):
+    # The tree grows one node per round; no interpreter recursion limit
+    # may bound its depth.
+    proc = run_bounded(["validate", write_doc(tmp_path, chain_doc(rounds))])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"chain-{rounds}: ok\n", "")
+
+
+def test_validate_refuses_a_wide_round_at_once(tmp_path):
+    # 40 000 candidates in one round: the size forecast refuses the tree
+    # before any leaf is built, and nothing before it is quadratic.
+    proc = run_bounded(["validate", write_doc(tmp_path, chain_doc(40_000, t=1.0))], timeout=20)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"tree too large: its leaves would hold more than {program.MAX_LEDGER_EVENTS}"
+        " ledger events (MAX_LEDGER_EVENTS)\n"
+    )
+
+
+# Prints the process's peak resident set at exit, as "VmHWM: <n> kB".  Not
+# ru_maxrss: across exec that keeps the peak of the forking test process.
+PEAK_RSS = """
+import atexit, sys
+def _peak():
+    with open("/proc/self/status") as f:
+        print(next(line for line in f if line.startswith("VmHWM:")), end="", file=sys.stderr)
+atexit.register(_peak)
+"""
+
+
+def test_deep_chain_runs_in_bounded_memory(tmp_path):
+    # 200 draws per trial: a chunk of whole 50 000-trial rows would hold 80 MB.
+    path = write_doc(tmp_path, chain_doc(200))
+    outs = []
+    for workers in ("1", "2"):
+        argv = ["run", "--spec", path, "--trials", "100000", "--seed", "7", "--workers", workers]
+        proc = run_bounded(argv, preamble=PEAK_RSS)
+        assert proc.returncode == 0
+        assert int(proc.stderr.split()[1]) < 80 * 1024
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_validate_refuses_a_screen_too_wide_to_compile(tmp_path):

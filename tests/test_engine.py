@@ -32,6 +32,7 @@ from tqsim import (
     spacetime_interval2,
     trigger_satisfied,
 )
+from tqsim.engine import split_unit
 from tqsim.program import Node
 from tqsim.quantum import StateVector, normalize
 
@@ -439,6 +440,13 @@ def test_step_resolution_matches_running_sum(raw, u):
             expect = t.absorber
             break
     assert step(present, 0.0, u) == expect
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40), st.floats(0.5, 2.0))
+def test_split_unit_points_are_rounded_exact_prefix_sums(weights, mass):
+    points, residual = split_unit(weights, mass)
+    assert len(points) == len(weights) - (not residual)
+    assert list(points) == [math.fsum(weights[: i + 1]) / mass for i in range(len(points))]
 
 
 # -- the split rule against the compiled tree ---------------------------------

@@ -178,6 +178,9 @@ def test_compile_locates_a_screen_whose_amplitudes_overflow():
     spec = replace(spec, screen=replace(spec.screen, wavelength=1e-308))
     with pytest.raises(ValueError, match=r"^screen: geometry gives no finite bin basis \("):
         compile_program.__wrapped__(spec, "sequential")
+    for mode in (INTERFERENCE, WHICH_SLIT):
+        with pytest.raises(ValueError, match=r"^screen: geometry gives no finite bin basis \("):
+            screen_distribution(spec.screen, mode)
 
 
 def test_screen_amplitudes_normalized_with_central_peak():
@@ -603,6 +606,15 @@ def test_unvalidated_short_coin_is_refused_at_compile():
     short = replace(flip, coin=replace(flip.coin, weights=(0.5, 0.3)))
     with pytest.raises(ValueError, match="^coin weights must sum to 1$"):
         compile_program(short, "sequential").run(FakeRng([0.9, 0.5]))
+
+
+@pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, math.inf)])
+def test_non_finite_coin_weight_is_refused(weights):
+    flip = dce_spec("coinflip")
+    bad = replace(flip, coin=replace(flip.coin, weights=weights))
+    assert "coin weights must be non-negative and sum to 1" in validate_spec(bad)
+    with pytest.raises(ValueError, match="^coin weights must be finite numbers$"):
+        compile_program.__wrapped__(bad, "sequential")
 
 
 def test_validate_coin_trigger_without_coin():

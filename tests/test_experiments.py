@@ -1,5 +1,6 @@
 """Experiment layouts, the JSON document form, validation, and single trials."""
 import copy
+import hashlib
 import json
 import math
 import os
@@ -456,6 +457,78 @@ def test_load_without_validation_defers_checks():
     assert any(p.startswith("retro-placement") for p in validate_spec(spec))
     with pytest.raises(SpecError, match="retro-placement"):
         load_spec(doc)
+
+
+_MUTANT_VALUES = (None, "", "x", 0, -1, 1.5, 10**400, True, [], {})
+
+
+def _paths(doc, skip):
+    """Every path into ``doc`` (key and index tuples, the root first), depth
+    first in key order, leaving out those ``skip`` rejects and all below them."""
+    stack, out = [()], []
+    while stack:
+        path = stack.pop()
+        out.append(path)
+        node = doc
+        for key in path:
+            node = node[key]
+        keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else []
+        stack.extend(path + (k,) for k in reversed(keys) if not skip(path + (k,), node))
+    return out
+
+
+def _edited(doc, path, edit):
+    """A copy of ``doc`` with ``edit(container, key)`` applied at ``path``;
+    only the containers along the path are copied."""
+    root = copy.copy(doc)
+    node = root
+    for key in path[:-1]:
+        node[key] = copy.copy(node[key])
+        node = node[key]
+    edit(node, path[-1])
+    return root
+
+
+def _single_mutations(doc, skip):
+    """Each key dropped, each value replaced by each of ``_MUTANT_VALUES`` and
+    each list entry duplicated, one at a time."""
+    for path in _paths(doc, skip):
+        if not path:
+            yield from _MUTANT_VALUES
+            continue
+        if isinstance(path[-1], str):
+            yield _edited(doc, path, lambda node, key: node.pop(key))
+        for value in _MUTANT_VALUES:
+            yield _edited(doc, path, lambda node, key: node.__setitem__(key, copy.deepcopy(value)))
+        if isinstance(path[-1], int):
+            yield _edited(doc, path, lambda node, key: node.insert(key, node[key]))
+
+
+def _middle_absorber(path, parent):
+    # dce-coinflip's 203 absorbers are alike: mutate only the first and last two.
+    return len(path) == 2 and path[0] == "absorbers" and 2 <= path[1] < len(parent) - 2
+
+
+def _load_outcome(doc):
+    try:
+        return repr(load_spec(doc, validate=False))
+    except SpecError as e:
+        return f"SpecError: {e}"
+
+
+# sha256 over the load outcomes of 1 614 single mutations: the spec's repr, or
+# the SpecError text.  Recorded before the document code became one table per block.
+LOAD_CORPUS_SHA256 = "4fad2b711d62e9bfafa27b6b4d5d5939fb81ce6ff98eee68a15a7f8c4f4a26c8"
+
+
+def test_load_outcomes_of_every_single_mutation_are_pinned():
+    h = hashlib.sha256()
+    for name in ("maudlin", "miller", "dce-coinflip"):
+        doc = spec_to_document(builtin_spec(name))
+        skip = _middle_absorber if name == "dce-coinflip" else lambda path, parent: False
+        for mutant in _single_mutations(doc, skip):
+            h.update((_load_outcome(mutant) + "\n").encode())
+    assert h.hexdigest() == LOAD_CORPUS_SHA256
 
 
 # -- validation ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Golden digests: payload bytes, exact laws and leaf records.
+"""Golden digests: payload bytes, exact laws, leaf records and dumped documents.
 
 ``GOLDEN`` covers every admissible builtin x strategy pair; its digests were
 recorded before the resolution arithmetic was shared between the tree
@@ -9,8 +9,11 @@ before the change it guards.  Both pin that any later restructuring leaves
 every output byte and trial record where it was.  The six inadmissible
 pairs are covered by ``test_single_round_strategies_reject_contingent_specs``.
 
+``DOCUMENT_GOLDEN`` pins the bytes ``spec_to_document`` dumps for each of
+those layouts.
+
 Run this file as a script (``PYTHONPATH=src python tests/test_golden.py``)
-to print both tables, computed from the current code, in source form.
+to print the three tables, computed from the current code, in source form.
 """
 import ast
 import hashlib
@@ -37,6 +40,7 @@ from tqsim import (
     outcome_distribution,
     run_experiment,
     run_payload,
+    spec_to_document,
 )
 
 # (payload sha256 at 20 000 trials / seed 7, exact-law sha256 with float.hex values)
@@ -198,6 +202,21 @@ LEAF_GOLDEN = {
     ("triple", "sequential", True): "8ec22eac3f292954feff65d05ac5bdf739cf38a55e7384ceb0b53f233a893193",
 }
 
+# sha256 of json.dumps(spec_to_document(spec)) for every builtin and hand-built
+# layout: the dumped document's bytes, key order included.  Recorded before the
+# document code became one table per block.
+DOCUMENT_GOLDEN = {
+    "coin-rules": "4fcb09e9f6da725fe058956d1caf06a7eefe15f47a6380a9aecbbec89f89f73c",
+    "dce-coinflip": "95a514773dbca173664df44c72af78d936c01320cf01970bd149a1d3b666587f",
+    "dce-keep": "08f3f481a5f2494f194d8c24606ec795e0b01c70b4ad07844f30e160821d394f",
+    "dce-remove": "b5026b2285c1615a24e0710c39acbcdfbd9360780a6644cd90c140d5a3845783",
+    "maudlin": "bc8d385c5fabe15783401f25581339b175571be68bd4b5ec09856500dc1cf4b7",
+    "miller": "87fb23cf6d71382b773f3cfdb5ddb461facea269872e992596a16e2d1f3441f7",
+    "pair-then-place": "ae5f24d59af4468aeaee3f41383a898497e7fc66e3ed0f0f7225602910831b22",
+    "photon-pair": "3b2baf4fc7b3db95df1470976e36330e7075945ec1fa07233ba47fad4723c827",
+    "triple": "edf2a3132335e30fd430f3e475311ed6515d1b7d924e239013d90b3a5cbe5a4a",
+}
+
 
 def leaf_digest(program, spec) -> str:
     h = hashlib.sha256()
@@ -228,6 +247,19 @@ def test_leaf_record_digests(name, strategy, tie_break):
 
 def test_leaf_golden_has_no_stale_entries():
     assert sorted(LEAF_GOLDEN) == leaf_cases()
+
+
+def document_digest(name):
+    return sha256(json.dumps(spec_to_document(_leaf_spec(name))))
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENT_GOLDEN))
+def test_dumped_document_digests(name):
+    assert document_digest(name) == DOCUMENT_GOLDEN[name]
+
+
+def test_document_golden_covers_every_layout():
+    assert set(DOCUMENT_GOLDEN) == {name for name, _, _ in leaf_cases()}
 
 
 def _parsed_trigger_kinds():
@@ -278,6 +310,11 @@ def _print_tables():
     for name, strategy, tie_break in leaf_cases():
         digest = leaf_digest(_leaf_program(name, strategy, tie_break), _leaf_spec(name))
         print(f'    ("{name}", "{strategy}", {tie_break}): "{digest}",')
+    print("}")
+    print()
+    print("DOCUMENT_GOLDEN = {")
+    for name in sorted(DOCUMENT_GOLDEN):
+        print(f'    "{name}": "{document_digest(name)}",')
     print("}")
 
 

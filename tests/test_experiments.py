@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tqsim
 from conftest import FakeRng
@@ -462,6 +463,12 @@ def test_load_without_validation_defers_checks():
 _MUTANT_VALUES = (None, "", "x", 0, -1, 1.5, 10**400, True, [], {})
 
 
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _paths(doc, skip):
     """Every path into ``doc`` (key and index tuples, the root first), depth
     first in key order, leaving out those ``skip`` rejects and all below them."""
@@ -469,9 +476,7 @@ def _paths(doc, skip):
     while stack:
         path = stack.pop()
         out.append(path)
-        node = doc
-        for key in path:
-            node = node[key]
+        node = _at(doc, path)
         keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else []
         stack.extend(path + (k,) for k in reversed(keys) if not skip(path + (k,), node))
     return out
@@ -529,6 +534,52 @@ def test_load_outcomes_of_every_single_mutation_are_pinned():
         for mutant in _single_mutations(doc, skip):
             h.update((_load_outcome(mutant) + "\n").encode())
     assert h.hexdigest() == LOAD_CORPUS_SHA256
+
+
+# dce-keep and dce-coinflip are left out: each takes 0.14-0.21 s to validate.
+_FUZZ_DOCS = {name: spec_to_document(builtin_spec(name)) for name in ("maudlin", "miller", "dce-remove")}
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-4.0, 4.0) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def _mutated_documents(draw):
+    """One to three edits, each at a drawn path: mostly a replacement, by a
+    value of the same type from elsewhere in the document three times in four,
+    so that some mutants still load and run; else a drop or a duplication."""
+    doc = _FUZZ_DOCS[draw(st.sampled_from(sorted(_FUZZ_DOCS)))]
+    for _ in range(draw(st.integers(1, 3))):
+        paths = _paths(doc, _middle_absorber)[1:]
+        path = draw(st.sampled_from(paths))
+        edits = ["replace"] * 3 + ["drop" if isinstance(path[-1], str) else "duplicate"]
+        if draw(st.sampled_from(edits)) == "replace":
+            same_type = [v for v in (_at(doc, p) for p in paths) if type(v) is type(_at(doc, path))]
+            anything = st.sampled_from(_MUTANT_VALUES) | _json_values
+            value = draw(st.sampled_from(same_type) if draw(st.integers(0, 3)) else anything)
+            doc = _edited(doc, path, lambda node, key: node.__setitem__(key, copy.deepcopy(value)))
+        elif isinstance(path[-1], str):
+            doc = _edited(doc, path, lambda node, key: node.pop(key))
+        else:
+            doc = _edited(doc, path, lambda node, key: node.insert(key, node[key]))
+    return doc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_mutated_documents())
+def test_a_mutated_document_is_refused_or_runs_clean(doc):
+    try:
+        spec = load_spec(doc)
+    except SpecError:
+        return
+    for strategy in ResolutionStrategy:
+        try:
+            _, report = run_experiment(spec, RunConfig(1000, 3, strategy=strategy))
+        except StrategyError:
+            continue
+        assert report.clean(), strategy
 
 
 # -- validation ---------------------------------------------------------------

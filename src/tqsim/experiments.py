@@ -515,14 +515,9 @@ def load_spec(source: str | bytes | Mapping[str, Any], validate: bool = True) ->
         nbins = entry["bins"]
         if isinstance(nbins, bool) or not isinstance(nbins, int):
             raise _fail("screen", "field 'bins' must be an integer")
+        d, lam, length, span = (_number(entry, "screen", key) for key in ("d", "lambda", "L", "span"))
         try:
-            screen = ScreenModel(
-                slit_separation=_number(entry, "screen", "d"),
-                wavelength=_number(entry, "screen", "lambda"),
-                distance=_number(entry, "screen", "L"),
-                bins=nbins,
-                span=_number(entry, "screen", "span"),
-            )
+            screen = ScreenModel(d, lam, length, nbins, span)
         except ValueError as e:
             raise _fail("screen", str(e)) from None
 

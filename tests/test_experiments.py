@@ -444,6 +444,14 @@ def test_load_rejects_coin_rule_links():
         load_spec(doc)
 
 
+@pytest.mark.parametrize("key", ["d", "lambda", "L", "span"])
+def test_load_locates_a_bad_screen_number_once(key):
+    doc = spec_to_document(dce_spec("keep"))
+    doc["screen"][key] = "x"
+    with pytest.raises(SpecError, match=f"^screen: field '{key}' must be a number$"):
+        load_spec(doc, validate=False)
+
+
 def test_load_rejects_bad_screen_bins():
     doc = spec_to_document(dce_spec("keep"))
     doc["screen"]["bins"] = 200
@@ -522,8 +530,9 @@ def _load_outcome(doc):
 
 
 # sha256 over the load outcomes of 1 614 single mutations: the spec's repr, or
-# the SpecError text.  Recorded before the document code became one table per block.
-LOAD_CORPUS_SHA256 = "4fad2b711d62e9bfafa27b6b4d5d5939fb81ce6ff98eee68a15a7f8c4f4a26c8"
+# the SpecError text.  Recorded before the document code became one table per
+# block, once a bad screen number was no longer located twice ("screen: screen:").
+LOAD_CORPUS_SHA256 = "4b85c6a34c7a9d178edc47e43c0b39a36e50650ad39d0d81745ccd839395138e"
 
 
 def test_load_outcomes_of_every_single_mutation_are_pinned():

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Any, Callable, Mapping
+from types import SimpleNamespace
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -114,7 +115,7 @@ class ScreenModel:
     def __post_init__(self) -> None:
         if self.bins < 3 or self.bins % 2 == 0:
             raise ValueError("screen needs an odd bin count of at least 3")
-        for name in ("slit_separation", "wavelength", "distance", "span"):
+        for name in (f.name for f in fields(self) if f.name != "bins"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
@@ -349,23 +350,55 @@ def builtin_spec(name: str) -> ExperimentSpec:
 
 
 # -- JSON document form -------------------------------------------------------
+#
+# One table per document block.  A row gives a document key, its kind, its
+# default (REQUIRED when the key must be given) and the field it fills, if not
+# the key.  A kind reads one value (_number, ...), or is a nested _Block, a
+# table of blocks keyed by the entry's "kind", or a _List of blocks; a block
+# row with no key reads its keys from the enclosing object.  load_spec and
+# spec_to_document walk the same rows, each on an explicit stack.
+
+REQUIRED = object()
+
+
+class _Row(NamedTuple):
+    key: str | int | None
+    kind: Any
+    default: Any = REQUIRED
+    field: str | None = None
+
+
+class _Block(NamedTuple):
+    make: Callable[..., Any]  # takes the rows' fields by keyword
+    rows: tuple[_Row, ...] = ()
+
+
+class _List(NamedTuple):
+    """A JSON list of ``block`` entries: ``make`` builds the field from the
+    loaded entries, and ``entries`` splits a field back into them."""
+
+    block: _Block
+    expected: str = "a list"
+    nonempty: bool = False
+    make: Callable[[tuple], Any] = tuple
+    entries: Callable[[Any], tuple] = tuple
+
+
+def _state(entries: tuple[SimpleNamespace, ...]) -> StateVector:
+    amps = tuple(complex(e.re, e.im) for e in entries)
+    return normalize(StateVector(tuple(e.channel for e in entries), amps))
+
+
+def _amplitudes(state: StateVector) -> tuple[SimpleNamespace, ...]:
+    return tuple(SimpleNamespace(channel=c, re=a.real, im=a.imag) for c, a in zip(state.labels, state.amps))
+
 
 def _fail(where: str, message: str) -> SpecError:
     return SpecError(f"{where}: {message}")
 
 
-def _check_keys(obj: Mapping[str, Any], where: str, allowed: set[str], required: set[str]) -> None:
-    if not isinstance(obj, Mapping):
-        raise _fail(where, "expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise _fail(where, f"unknown field(s) {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise _fail(where, f"missing field(s) {sorted(missing)}")
-
-
-def _finite(v: Any, where: str, name: str) -> float:
+def _number(v: Any, where: str, key: str, name: str = "") -> float:
+    name = name or f"field {key!r}"
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise _fail(where, f"{name} must be a number")
     try:
@@ -378,158 +411,152 @@ def _finite(v: Any, where: str, name: str) -> float:
     return x
 
 
-def _number(obj: Mapping[str, Any], where: str, key: str) -> float:
-    return _finite(obj[key], where, f"field {key!r}")
+def _numbers(v: Any, where: str, key: str) -> tuple[float, ...]:
+    if not isinstance(v, list):
+        raise _fail(where, f"field {key!r} must be a list of numbers")
+    return tuple(_number(w, where, key, f"{key}[{j}]") for j, w in enumerate(v))
 
 
-def _string(obj: Mapping[str, Any], where: str, key: str) -> str:
-    v = obj[key]
-    if not isinstance(v, str) or not v:
-        raise _fail(where, f"field {key!r} must be a non-empty string")
-    return v
+def _checked(test: Callable[[Any], bool], expected: str, convert: Callable[[Any], Any] = lambda v: v):
+    """A reader that refuses a value failing ``test`` as not ``expected``."""
+    def read(v: Any, where: str, key: str) -> Any:
+        if not test(v):
+            raise _fail(where, f"field {key!r} must be {expected}")
+        return convert(v)
+    return read
 
 
-def _point(obj: Mapping[str, Any], where: str) -> SpacetimePoint:
-    _check_keys(obj, where, {"t", "x"}, {"t", "x"})
-    return SpacetimePoint(_number(obj, where, "t"), _number(obj, where, "x"))
+_string = _checked(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_boolean = _checked(lambda v: isinstance(v, bool), "a boolean")
+_integer = _checked(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_strings = _checked(lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings", tuple)
+
+_POINT = _Block(SpacetimePoint, (_Row("t", _number), _Row("x", _number)))
+_AT = _Row(None, _POINT, field="position")
+_STATE_ENTRY = _Block(SimpleNamespace, (_Row("channel", _string), _Row("re", _number), _Row("im", _number, 0.0)))
+_ABSORBER = _Block(AbsorberConfig, (
+    _Row("id", _string), _Row("channel", _string), _AT, _Row("present", _boolean, True, "initially_present"),
+))
+_TRIGGERS = {
+    "always": _Block(Always),
+    "transaction-failed": _Block(TransactionFailed, (
+        _Row("id", _string, field="absorber"), _Row("t", _number, field="time"),
+    )),
+    "coin-outcome": _Block(CoinOutcome, (_Row("label", _string),)),
+}
+_ACTIONS = {
+    "place": _Block(PlaceAbsorber, (_Row("id", _string, field="absorber"), _Row("channel", _string), _AT)),
+    "divert": _Block(DivertChannel, (_Row("channel", _string), _Row("id", _string, field="new_absorber"), _AT)),
+    "remove-screen": _Block(RemoveScreen),
+}
+_RULE = _Block(ContingencyRule, (_Row("trigger", _TRIGGERS), _Row("action", _ACTIONS), _Row("time", _number)))
+_COIN = _Block(CoinConfig, (_Row("labels", _strings), _Row("weights", _numbers), _Row("flip_time", _number)))
+_SCREEN = _Block(ScreenModel, (
+    _Row("d", _number, field="slit_separation"),
+    _Row("lambda", _number, field="wavelength"),
+    _Row("L", _number, field="distance"),
+    _Row("bins", _integer),
+    _Row("span", _number),
+))
+_AMPLITUDES = _List(_STATE_ENTRY, "a non-empty list of channel amplitudes", True, _state, _amplitudes)
+_DOCUMENT = _Block(ExperimentSpec, (
+    _Row("name", _string),
+    _Row("emission", _POINT),
+    _Row("state", _AMPLITUDES, field="initial_state"),
+    _Row("absorbers", _List(_ABSORBER)),
+    _Row("rules", _List(_RULE), ()),
+    _Row("coin", _COIN, None),
+    _Row("screen", _SCREEN, None),
+))
 
 
-def _parse_trigger(obj: Mapping[str, Any], where: str) -> Trigger:
-    if not isinstance(obj, Mapping) or "kind" not in obj:
-        raise _fail(where, "trigger needs a 'kind'")
-    kind = obj["kind"]
-    if kind == "always":
-        _check_keys(obj, where, {"kind"}, {"kind"})
-        return Always()
-    if kind == "transaction-failed":
-        _check_keys(obj, where, {"kind", "id", "t"}, {"kind", "id", "t"})
-        return TransactionFailed(_string(obj, where, "id"), _number(obj, where, "t"))
-    if kind == "coin-outcome":
-        _check_keys(obj, where, {"kind", "label"}, {"kind", "label"})
-        return CoinOutcome(_string(obj, where, "label"))
-    raise _fail(where, f"unknown trigger kind {kind!r}")
+def _check_keys(obj: Any, where: str, block: _Block) -> None:
+    if not isinstance(obj, Mapping):
+        raise _fail(where, "expected an object")
+    rows = [r for row in block.rows for r in (row.kind.rows if row.key is None else (row,))]
+    unknown = set(obj) - {r.key for r in rows}
+    if unknown:
+        raise _fail(where, f"unknown field(s) {sorted(unknown)}")
+    missing = {r.key for r in rows if r.default is REQUIRED} - set(obj)
+    if missing:
+        raise _fail(where, f"missing field(s) {sorted(missing)}")
 
 
-def _parse_action(obj: Mapping[str, Any], where: str) -> Action:
-    if not isinstance(obj, Mapping) or "kind" not in obj:
-        raise _fail(where, "action needs a 'kind'")
-    kind = obj["kind"]
-    if kind in ("place", "divert"):
-        keys = {"kind", "id", "channel", "t", "x"}
-        _check_keys(obj, where, keys, keys)
-        aid, channel = _string(obj, where, "id"), _string(obj, where, "channel")
-        at = SpacetimePoint(_number(obj, where, "t"), _number(obj, where, "x"))
-        return PlaceAbsorber(aid, channel, at) if kind == "place" else DivertChannel(channel, aid, at)
-    if kind == "remove-screen":
-        _check_keys(obj, where, {"kind"}, {"kind"})
-        return RemoveScreen()
-    raise _fail(where, f"unknown action kind {kind!r}")
+def _read(doc: Any) -> ExperimentSpec:
+    """Read a parsed document row by row, depth first.  A frame reads one
+    block or list: its rows left, the object they are read from, its location,
+    the values read so far, its kind, and the values and name its own value
+    fills once every row is read."""
+    _check_keys(doc, "document", _DOCUMENT)
+    done: dict[str, Any] = {}
+    stack = [(iter(_DOCUMENT.rows), doc, "document", {}, _DOCUMENT, done, "spec")]
+    while stack:
+        rows, obj, where, values, container, into, name = stack[-1]
+        row = next(rows, None)
+        if row is None:
+            stack.pop()
+            try:
+                into[name] = (
+                    container.make(tuple(values.values())) if isinstance(container, _List) else container.make(**values)
+                )
+            except ValueError as e:
+                raise _fail(where, str(e)) from None
+            continue
+        kind, name = row.kind, row.field or row.key
+        if row.key is None:  # an inline block: its keys were checked with obj's
+            stack.append((iter(kind.rows), obj, where, {}, kind, values, name))
+            continue
+        if row.key not in obj or obj[row.key] is None and row.default is None:
+            values[name] = row.default
+            continue
+        value = obj[row.key]
+        at = f"{where}[{row.key}]" if isinstance(row.key, int) else f"{where}.{row.key}".removeprefix("document.")
+        if isinstance(kind, dict):  # a table of blocks keyed by the entry's "kind"
+            if not isinstance(value, Mapping) or "kind" not in value:
+                raise _fail(at, f"{row.key} needs a 'kind'")
+            tag = value["kind"]
+            kind = kind.get(tag) if isinstance(tag, str) else None
+            if kind is None:
+                raise _fail(at, f"unknown {row.key} kind {tag!r}")
+            value = {k: v for k, v in value.items() if k != "kind"}
+        if isinstance(kind, _List):
+            if not isinstance(value, list) or kind.nonempty and not value:
+                raise _fail(at, f"expected {kind.expected}")
+            entries = [_Row(i, kind.block) for i in range(len(value))]
+            stack.append((iter(entries), dict(enumerate(value)), at, {}, kind, values, name))
+        elif isinstance(kind, _Block):
+            _check_keys(value, at, kind)
+            stack.append((iter(kind.rows), value, at, {}, kind, values, name))
+        else:
+            values[name] = kind(value, where, row.key)
+    return done["spec"]
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate field {key!r}")
+        obj[key] = value
+    return obj
 
 
 def load_spec(source: str | bytes | Mapping[str, Any], validate: bool = True) -> ExperimentSpec:
     """Build a spec from a JSON document (text or parsed mapping).
 
-    Unknown fields are rejected, state amplitudes are normalized on load, and
-    (unless ``validate`` is off) the full consistency checks run; any failure
-    raises :class:`SpecError` locating the offending entry.
+    Unknown and duplicate fields are rejected, state amplitudes are normalized
+    on load, and (unless ``validate`` is off) the full consistency checks run;
+    any failure raises :class:`SpecError` locating the offending entry.
     """
+    doc = source
     if isinstance(source, (str, bytes)):
         try:
-            doc = json.loads(source)
+            doc = json.loads(source, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as e:
-            # ValueError covers malformed JSON, undecodable bytes and
-            # over-long integer literals; RecursionError an over-deep document.
+            # ValueError covers malformed JSON, undecodable bytes, duplicate fields
+            # and over-long integer literals; RecursionError an over-deep document.
             raise SpecError(f"parse error: {e}") from None
-    else:
-        doc = source
-    _check_keys(
-        doc,
-        "document",
-        {"name", "emission", "state", "absorbers", "rules", "coin", "screen"},
-        {"name", "emission", "state", "absorbers"},
-    )
-    name = _string(doc, "document", "name")
-    emission = _point(doc["emission"], "emission")
-
-    if not isinstance(doc["state"], list) or not doc["state"]:
-        raise _fail("state", "expected a non-empty list of channel amplitudes")
-    labels: list[str] = []
-    amps: list[complex] = []
-    for i, entry in enumerate(doc["state"]):
-        where = f"state[{i}]"
-        _check_keys(entry, where, {"channel", "re", "im"}, {"channel", "re"})
-        labels.append(_string(entry, where, "channel"))
-        amps.append(complex(_number(entry, where, "re"), _number(entry, where, "im") if "im" in entry else 0.0))
-    try:
-        state = normalize(StateVector(tuple(labels), tuple(amps)))
-    except ValueError as e:
-        raise _fail("state", str(e)) from None
-
-    if not isinstance(doc["absorbers"], list):
-        raise _fail("absorbers", "expected a list")
-    absorbers: list[AbsorberConfig] = []
-    for i, entry in enumerate(doc["absorbers"]):
-        where = f"absorbers[{i}]"
-        _check_keys(entry, where, {"id", "channel", "t", "x", "present"}, {"id", "channel", "t", "x"})
-        present = entry.get("present", True)
-        if not isinstance(present, bool):
-            raise _fail(where, "field 'present' must be a boolean")
-        absorbers.append(
-            AbsorberConfig(
-                _string(entry, where, "id"),
-                _string(entry, where, "channel"),
-                SpacetimePoint(_number(entry, where, "t"), _number(entry, where, "x")),
-                initially_present=present,
-            )
-        )
-
-    if not isinstance(doc.get("rules", []), list):
-        raise _fail("rules", "expected a list")
-    rules: list[ContingencyRule] = []
-    for i, entry in enumerate(doc.get("rules", [])):
-        where = f"rules[{i}]"
-        _check_keys(entry, where, {"trigger", "action", "time"}, {"trigger", "action", "time"})
-        rules.append(
-            ContingencyRule(
-                _parse_trigger(entry["trigger"], f"{where}.trigger"),
-                _parse_action(entry["action"], f"{where}.action"),
-                _number(entry, where, "time"),
-            )
-        )
-
-    coin = None
-    if "coin" in doc and doc["coin"] is not None:
-        entry = doc["coin"]
-        _check_keys(entry, "coin", {"labels", "weights", "flip_time"}, {"labels", "weights", "flip_time"})
-        if not isinstance(entry["labels"], list) or not all(isinstance(s, str) for s in entry["labels"]):
-            raise _fail("coin", "field 'labels' must be a list of strings")
-        if not isinstance(entry["weights"], list):
-            raise _fail("coin", "field 'weights' must be a list of numbers")
-        weights = tuple(_finite(w, "coin", f"weights[{j}]") for j, w in enumerate(entry["weights"]))
-        coin = CoinConfig(tuple(entry["labels"]), weights, _number(entry, "coin", "flip_time"))
-
-    screen = None
-    if "screen" in doc and doc["screen"] is not None:
-        entry = doc["screen"]
-        _check_keys(entry, "screen", {"d", "lambda", "L", "bins", "span"}, {"d", "lambda", "L", "bins", "span"})
-        nbins = entry["bins"]
-        if isinstance(nbins, bool) or not isinstance(nbins, int):
-            raise _fail("screen", "field 'bins' must be an integer")
-        d, lam, length, span = (_number(entry, "screen", key) for key in ("d", "lambda", "L", "span"))
-        try:
-            screen = ScreenModel(d, lam, length, nbins, span)
-        except ValueError as e:
-            raise _fail("screen", str(e)) from None
-
-    spec = ExperimentSpec(
-        name=name,
-        emission=emission,
-        initial_state=state,
-        absorbers=tuple(absorbers),
-        rules=tuple(rules),
-        coin=coin,
-        screen=screen,
-    )
+    spec = _read(doc)
     if validate:
         problems = validate_spec(spec)
         if problems:
@@ -538,61 +565,31 @@ def load_spec(source: str | bytes | Mapping[str, Any], validate: bool = True) ->
 
 
 def spec_to_document(spec: ExperimentSpec) -> dict[str, Any]:
-    """Render a spec back to its JSON document form (round-trips with load)."""
-    doc: dict[str, Any] = {
-        "name": spec.name,
-        "emission": {"t": spec.emission.t, "x": spec.emission.x},
-        "state": [
-            {"channel": ch, "re": amp.real, "im": amp.imag}
-            for ch, amp in zip(spec.initial_state.labels, spec.initial_state.amps)
-        ],
-        "absorbers": [
-            {"id": a.id, "channel": a.channel, "t": a.position.t, "x": a.position.x, "present": a.initially_present}
-            for a in spec.absorbers
-        ],
-    }
-    if spec.rules:
-        doc["rules"] = [
-            {"trigger": _trigger_doc(r.trigger), "action": _action_doc(r.action), "time": r.time}
-            for r in spec.rules
-        ]
-    if spec.coin is not None:
-        doc["coin"] = {
-            "labels": list(spec.coin.labels),
-            "weights": list(spec.coin.weights),
-            "flip_time": spec.coin.flip_time,
-        }
-    if spec.screen is not None:
-        doc["screen"] = {
-            "d": spec.screen.slit_separation,
-            "lambda": spec.screen.wavelength,
-            "L": spec.screen.distance,
-            "bins": spec.screen.bins,
-            "span": spec.screen.span,
-        }
+    """Render a spec back to its JSON document form (round-trips with load).
+
+    A stack entry is a row, the object holding its field, and the output
+    object; rows are pushed last first, so keys come out in table order."""
+    doc: dict[str, Any] = {}
+    stack = [(row, spec, doc) for row in reversed(_DOCUMENT.rows)]
+    while stack:
+        row, obj, out = stack.pop()
+        kind, value = row.kind, getattr(obj, row.field or row.key)
+        if row.default in (None, ()) and value == row.default:
+            continue  # an absent optional block is left out
+        if isinstance(kind, dict):
+            tag, kind = next((tag, block) for tag, block in kind.items() if isinstance(value, block.make))
+            out[row.key] = {"kind": tag}
+        if isinstance(kind, _List):
+            entries = kind.entries(value)
+            out[row.key] = [{} for _ in entries]
+            for entry, entry_out in reversed(list(zip(entries, out[row.key]))):
+                stack.extend((r, entry, entry_out) for r in reversed(kind.block.rows))
+        elif isinstance(kind, _Block):
+            block_out = out if row.key is None else out.setdefault(row.key, {})
+            stack.extend((r, value, block_out) for r in reversed(kind.rows))
+        else:
+            out[row.key] = list(value) if isinstance(value, tuple) else value
     return doc
-
-
-def _trigger_doc(trigger: Trigger) -> dict[str, Any]:
-    if isinstance(trigger, Always):
-        return {"kind": "always"}
-    if isinstance(trigger, TransactionFailed):
-        return {"kind": "transaction-failed", "id": trigger.absorber, "t": trigger.time}
-    if isinstance(trigger, CoinOutcome):
-        return {"kind": "coin-outcome", "label": trigger.label}
-    raise TypeError(f"unknown trigger {trigger!r}")
-
-
-def _action_doc(action: Action) -> dict[str, Any]:
-    if isinstance(action, PlaceAbsorber):
-        return {"kind": "place", "id": action.absorber, "channel": action.channel,
-                "t": action.position.t, "x": action.position.x}
-    if isinstance(action, DivertChannel):
-        return {"kind": "divert", "channel": action.channel, "id": action.new_absorber,
-                "t": action.position.t, "x": action.position.x}
-    if isinstance(action, RemoveScreen):
-        return {"kind": "remove-screen"}
-    raise TypeError(f"unknown action {action!r}")
 
 
 # -- validation ---------------------------------------------------------------

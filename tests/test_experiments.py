@@ -311,6 +311,20 @@ def test_load_rejects_null_state():
         load_spec(doc)
 
 
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        ('{"name": "maudlin", "name": "other"}', "name"),
+        ('{"name": "maudlin", "emission": {"t": 0.0, "x": 0.0, "t": 1.0}}', "t"),
+    ],
+    ids=["document", "nested"],
+)
+def test_load_refuses_duplicate_fields_in_text(text, field):
+    # json.loads alone would keep the last value silently.
+    with pytest.raises(SpecError, match=f"^parse error: duplicate field '{field}'$"):
+        load_spec(text)
+
+
 def test_load_rejects_boolean_numbers():
     doc = good_doc()
     doc["absorbers"][0]["t"] = True

@@ -15,9 +15,7 @@ those layouts.
 Run this file as a script (``PYTHONPATH=src python tests/test_golden.py``)
 to print the three tables, computed from the current code, in source form.
 """
-import ast
 import hashlib
-import inspect
 import json
 import math
 
@@ -262,35 +260,17 @@ def test_document_golden_covers_every_layout():
     assert set(DOCUMENT_GOLDEN) == {name for name, _, _ in leaf_cases()}
 
 
-def _parsed_trigger_kinds():
-    """The trigger kinds the document parser accepts: every string it compares ``kind`` with."""
-    tree = ast.parse(inspect.getsource(experiments._parse_trigger))
-    return {
-        node.value
-        for compare in ast.walk(tree)
-        if isinstance(compare, ast.Compare)
-        and isinstance(compare.left, ast.Name)
-        and compare.left.id == "kind"
-        for comparator in compare.comparators
-        for node in ast.walk(comparator)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-    }
-
-
 def test_every_trigger_kind_fires_in_some_pinned_layout():
     # Only the apparatus event a rule fires carries its index.  A kind the
-    # parser accepts but no pinned leaf shows firing may be one that can
-    # never fire.
+    # trigger table accepts but no pinned leaf shows firing may be one that
+    # can never fire.
     fired = set()
     for name, strategy, tie_break in leaf_cases():
         spec = _leaf_spec(name)
+        kinds = [rule["trigger"]["kind"] for rule in spec_to_document(spec).get("rules", [])]
         for leaf in _leaf_program(name, strategy, tie_break).leaves:
-            fired |= {
-                experiments._trigger_doc(spec.rules[e.rule_index].trigger)["kind"]
-                for e in leaf.ledger.events
-                if e.rule_index is not None
-            }
-    accepted = _parsed_trigger_kinds()
+            fired |= {kinds[e.rule_index] for e in leaf.ledger.events if e.rule_index is not None}
+    accepted = set(experiments._TRIGGERS)
     assert "always" in accepted
     assert accepted <= fired
 

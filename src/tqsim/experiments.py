@@ -614,11 +614,11 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
     bin_channels = spec.bin_channels()
     known_channels = set(state.labels) | bin_channels
 
-    ids: set[str] = set()
+    by_id: dict[str, AbsorberConfig] = {}  # the first config of each id
     for a in spec.absorbers:
-        if a.id in ids:
+        if a.id in by_id:
             problems.append(f"duplicate absorber id {a.id!r}")
-        ids.add(a.id)
+        by_id.setdefault(a.id, a)
         if a.channel not in known_channels:
             problems.append(f"absorber {a.id!r} on unknown channel {a.channel!r}")
         if a.position.t <= spec.emission.t:
@@ -654,7 +654,7 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
         trig_time: float | None
         if isinstance(trig, TransactionFailed):
             trig_time = trig.time
-            target = next((a for a in spec.absorbers if a.id == trig.absorber), None)
+            target = by_id.get(trig.absorber)
             if target is None:
                 problems.append(f"rule {i} trigger references unknown absorber {trig.absorber!r}")
             elif target.position.t != trig.time:
@@ -685,7 +685,7 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
                 )
             if action.channel not in known_channels:
                 problems.append(f"rule {i} acts on unknown channel {action.channel!r}")
-            listed_cfg = next((a for a in spec.absorbers if a.id == aid), None)
+            listed_cfg = by_id.get(aid)
             if listed_cfg is not None:
                 if listed_cfg.initially_present:
                     problems.append(f"rule {i} re-places absorber {aid!r} that starts present")

@@ -450,6 +450,45 @@ def test_python_built_spec_with_nan_time_is_refused_in_bounded_time():
         assert result["validate"], name
 
 
+# The rule-heavy shape of ROADMAP item 9: n channels, absorber a_k on c_k starts
+# absent and absorbs at t = 2 + k, and an always rule places each one.  The
+# coin flips at emission, so validation stops before compile.
+_MANY_RULES = """
+import json, sys, time
+from tqsim import (AbsorberConfig, Always, CoinConfig, ContingencyRule, ExperimentSpec,
+                   PlaceAbsorber, SpacetimePoint, StateVector, validate_spec)
+
+n = int(sys.argv[1])
+at = [SpacetimePoint(2.0 + k, 0.0) for k in range(n)]
+spec = ExperimentSpec(
+    name="many-rules",
+    emission=SpacetimePoint(0.0, 0.0),
+    initial_state=StateVector(tuple(f"c{k}" for k in range(n)), (complex(n ** -0.5),) * n),
+    absorbers=tuple(AbsorberConfig(f"a{k}", f"c{k}", at[k], initially_present=False) for k in range(n)),
+    rules=tuple(ContingencyRule(Always(), PlaceAbsorber(f"a{k}", f"c{k}", at[k]), 1.5) for k in range(n)),
+    coin=CoinConfig(("up", "down"), (0.5, 0.5), 0.0),
+)
+start = time.perf_counter()
+problems = validate_spec(spec)
+print(json.dumps({"problems": problems, "seconds": time.perf_counter() - start}))
+"""
+
+
+def test_validate_answers_a_40000_rule_spec_in_bounded_time():
+    # Its static checks once scanned every absorber per rule: 10 000 rules
+    # took 1.33 s.  A separate process with a timeout, so a regression cannot
+    # hang the suite.
+    env = dict(os.environ, PYTHONPATH=str(Path(tqsim.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MANY_RULES, "40000"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["problems"] == ["coin flips before emission"]
+    assert out["seconds"] < 5.0
+
+
 def test_load_rejects_coin_rule_links():
     # Coin-outcome triggers alone say which label arms which rule.
     doc = spec_to_document(dce_spec("coinflip"))

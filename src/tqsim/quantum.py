@@ -50,15 +50,20 @@ class StateVector:
             raise KeyError(f"no basis label {label!r}") from None
 
     def norm2(self) -> float:
-        return math.fsum((a.conjugate() * a).real for a in self.amps)
+        try:
+            return math.fsum((a.conjugate() * a).real for a in self.amps)
+        except OverflowError:  # finite squares whose sum passes the float range
+            return math.inf
 
     def is_normalized(self, atol: float = ATOL) -> bool:
         return abs(self.norm2() - 1.0) <= atol
 
 
 def normalize(state: StateVector) -> StateVector:
-    """Scale to unit norm.  A state of norm 0 (within tolerance) is rejected."""
+    """Scale to unit norm.  A null (within tolerance) or overflowing state is rejected."""
     norm = math.sqrt(state.norm2())
+    if not math.isfinite(norm):
+        raise ValueError("squared norm overflows")
     if norm <= ATOL:
         raise ValueError("null state")
     if abs(norm - 1.0) <= ATOL:

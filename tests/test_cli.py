@@ -488,3 +488,12 @@ def test_abl_rejects_orthogonal_selections(capsys):
     assert code == 1
     assert "vanishing pre/post overlap" in err
 
+
+@pytest.mark.parametrize("pre", ["1e200,1e200", "1.3e154,1.3e154"])
+def test_abl_refuses_a_state_whose_norm_overflows(capsys, pre):
+    code, _out, err = run_cli(
+        capsys, "abl", "--pre", pre, "--post", "+x", "--observable", "z", "--outcome", "+z"
+    )
+    assert code == 1
+    assert err == "error: squared norm overflows\n"
+

@@ -311,6 +311,16 @@ def test_load_rejects_null_state():
         load_spec(doc)
 
 
+@pytest.mark.parametrize("re", [1e200, 1.3e154])
+def test_load_refuses_a_state_whose_norm_overflows(re):
+    # Each amplitude is finite; its square, or the sum of squares, is not.
+    doc = good_doc()
+    for entry in doc["state"]:
+        entry["re"] = re
+    with pytest.raises(SpecError, match="^state: squared norm overflows$"):
+        load_spec(doc, validate=False)
+
+
 @pytest.mark.parametrize(
     "text,field",
     [

@@ -76,6 +76,14 @@ class TestNormalize:
         with pytest.raises(ValueError, match="null state"):
             normalize(StateVector(("A", "B"), (0.0, 0.0)))
 
+    @pytest.mark.parametrize("amp", [1e200, 1.3e154, 1e200j])
+    def test_overflowing_norm_rejected(self, amp):
+        # 1e200 squares to inf; 1.3e154 squares finitely, but the sum overflows.
+        state = StateVector(("A", "B"), (amp, amp))
+        assert state.norm2() == math.inf
+        with pytest.raises(ValueError, match="^squared norm overflows$"):
+            normalize(state)
+
 
 class TestInnerProduct:
     def test_self_overlap_is_norm(self):

@@ -352,11 +352,12 @@ def builtin_spec(name: str) -> ExperimentSpec:
 # -- JSON document form -------------------------------------------------------
 #
 # One table per document block.  A row gives a document key, its kind, its
-# default (REQUIRED when the key must be given) and the field it fills, if not
-# the key.  A kind reads one value (_number, ...), or is a nested _Block, a
-# table of blocks keyed by the entry's "kind", or a _List of blocks; a block
-# row with no key reads its keys from the enclosing object.  load_spec and
-# spec_to_document walk the same rows, each on an explicit stack.
+# default (REQUIRED when the key must be given; a None default also takes a
+# null) and the field it fills, if not the key.  A kind reads one value
+# (_number, ...), or is a nested _Block, a table of blocks keyed by the entry's
+# "kind", or a _List of blocks; a block row with no key reads its keys from the
+# enclosing object.  load_spec and spec_to_document walk the same rows, each on
+# an explicit stack.
 
 REQUIRED = object()
 
@@ -432,10 +433,10 @@ _integer = _checked(lambda v: isinstance(v, int) and not isinstance(v, bool), "a
 _strings = _checked(lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings", tuple)
 
 _POINT = _Block(SpacetimePoint, (_Row("t", _number), _Row("x", _number)))
-_AT = _Row(None, _POINT, field="position")
+_POSITION = _Row(None, _POINT, field="position")
 _STATE_ENTRY = _Block(SimpleNamespace, (_Row("channel", _string), _Row("re", _number), _Row("im", _number, 0.0)))
 _ABSORBER = _Block(AbsorberConfig, (
-    _Row("id", _string), _Row("channel", _string), _AT, _Row("present", _boolean, True, "initially_present"),
+    _Row("id", _string), _Row("channel", _string), _POSITION, _Row("present", _boolean, True, "initially_present"),
 ))
 _TRIGGERS = {
     "always": _Block(Always),
@@ -445,8 +446,8 @@ _TRIGGERS = {
     "coin-outcome": _Block(CoinOutcome, (_Row("label", _string),)),
 }
 _ACTIONS = {
-    "place": _Block(PlaceAbsorber, (_Row("id", _string, field="absorber"), _Row("channel", _string), _AT)),
-    "divert": _Block(DivertChannel, (_Row("channel", _string), _Row("id", _string, field="new_absorber"), _AT)),
+    "place": _Block(PlaceAbsorber, (_Row("id", _string, field="absorber"), _Row("channel", _string), _POSITION)),
+    "divert": _Block(DivertChannel, (_Row("channel", _string), _Row("id", _string, field="new_absorber"), _POSITION)),
     "remove-screen": _Block(RemoveScreen),
 }
 _RULE = _Block(ContingencyRule, (_Row("trigger", _TRIGGERS), _Row("action", _ACTIONS), _Row("time", _number)))
@@ -495,10 +496,9 @@ def _read(doc: Any) -> ExperimentSpec:
         row = next(rows, None)
         if row is None:
             stack.pop()
+            make = container.make
             try:
-                into[name] = (
-                    container.make(tuple(values.values())) if isinstance(container, _List) else container.make(**values)
-                )
+                into[name] = make(tuple(values.values())) if isinstance(container, _List) else make(**values)
             except ValueError as e:
                 raise _fail(where, str(e)) from None
             continue

@@ -577,8 +577,10 @@ def spec_to_document(spec: ExperimentSpec) -> dict[str, Any]:
         if row.default in (None, ()) and value == row.default:
             continue  # an absent optional block is left out
         if isinstance(kind, dict):
-            tag, kind = next((tag, block) for tag, block in kind.items() if isinstance(value, block.make))
-            out[row.key] = {"kind": tag}
+            tag = next((tag for tag, block in kind.items() if isinstance(value, block.make)), None)
+            if tag is None:
+                raise TypeError(f"unknown {row.key} {value!r}")
+            kind, out[row.key] = kind[tag], {"kind": tag}
         if isinstance(kind, _List):
             entries = kind.entries(value)
             out[row.key] = [{} for _ in entries]

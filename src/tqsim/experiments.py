@@ -477,7 +477,7 @@ def _check_keys(obj: Any, where: str, block: _Block) -> None:
     rows = [r for row in block.rows for r in (row.kind.rows if row.key is None else (row,))]
     unknown = set(obj) - {r.key for r in rows}
     if unknown:
-        raise _fail(where, f"unknown field(s) {sorted(unknown)}")
+        raise _fail(where, f"unknown field(s) {sorted(unknown, key=str)}")  # a Mapping may mix key types
     missing = {r.key for r in rows if r.default is REQUIRED} - set(obj)
     if missing:
         raise _fail(where, f"missing field(s) {sorted(missing)}")

@@ -298,6 +298,13 @@ def test_load_rejects_unknown_document_fields():
         load_spec(doc)
 
 
+def test_load_refuses_a_mapping_with_keys_of_mixed_types():
+    doc = good_doc()
+    doc.update({1: "one", "extra": 2})
+    with pytest.raises(SpecError, match=r"^document: unknown field\(s\) \[1, 'extra'\]$"):
+        load_spec(doc)
+
+
 def test_load_rejects_missing_fields():
     doc = good_doc()
     del doc["state"]

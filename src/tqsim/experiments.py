@@ -696,21 +696,18 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             if aid in placed_positions and placed_positions[aid] != (action.channel, action.position):
                 problems.append(f"rules place absorber {aid!r} at conflicting positions")
             placed_positions[aid] = (action.channel, action.position)
-            if isinstance(action, PlaceAbsorber):
-                if action.channel in per_channel:
-                    problems.append(
-                        f"rule {i} places {aid!r} on channel {action.channel!r} that already has an absorber"
-                    )
-            else:
-                if action.channel not in per_channel:
-                    problems.append(f"rule {i} diverts channel {action.channel!r} with no absorber")
+            if isinstance(action, PlaceAbsorber) and action.channel in per_channel:
+                problems.append(
+                    f"rule {i} places {aid!r} on channel {action.channel!r} that already has an absorber"
+                )
+            elif isinstance(action, DivertChannel) and action.channel not in per_channel:
+                problems.append(f"rule {i} diverts channel {action.channel!r} with no absorber")
             if screen_time is not None and action.position.t <= screen_time:
                 problems.append(
                     f"rule {i} puts {aid!r} in front of the screen arrival at t={screen_time}"
                 )
-        else:
-            if spec.screen is None:
-                problems.append(f"rule {i} removes a screen but none is configured")
+        elif spec.screen is None:
+            problems.append(f"rule {i} removes a screen but none is configured")
 
     # A NaN or infinite squared interval would rank its candidate anywhere
     # under hierarchy.  A non-finite time is refused on its own, at compile.

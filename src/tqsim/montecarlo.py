@@ -123,10 +123,13 @@ def run_experiment(spec: ExperimentSpec, config: RunConfig) -> tuple[FrequencyTa
         # caller (e.g. a tracer) sees every chunk.
         return classify_counts(program, trial_uniforms(config.seed, *span, width))
 
-    # More threads than chunks or CPUs only adds overhead.
+    # More threads than chunks or CPUs only adds overhead.  One worker maps in
+    # this thread, and the pool starts none: a thread per call may get a new
+    # malloc arena, and peak memory would then vary from run to run.
     workers = min(config.workers, len(spans), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        leaf_counts = np.sum(list(pool.map(count_chunk, spans)), axis=0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # starts threads on submit only
+        chunk_counts = pool.map(count_chunk, spans) if workers > 1 else map(count_chunk, spans)
+        leaf_counts = np.sum(list(chunk_counts), axis=0)
 
     # Keys come sorted; the tables leave out those no trial reached.
     tally = program.tally(leaf_counts.tolist(), sum)

@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import sys
+import threading
 import weakref
 from collections import Counter
 
@@ -206,6 +207,17 @@ def test_pool_never_outnumbers_chunks_or_cpus(monkeypatch):
         table, _ = run_experiment(maudlin_spec(), RunConfig(n, 5, workers=64))
         assert sizes == expected
         assert table == serial
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    # A pool thread per call may get a fresh malloc arena, so peak memory
+    # would vary from run to run.
+    def refuse(thread):
+        raise AssertionError(f"started {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    table, _ = run_experiment(maudlin_spec(), RunConfig(2 * CHUNK_TRIALS + 1, 5, workers=1))
+    assert table.n_trials == 2 * CHUNK_TRIALS + 1
 
 
 def test_maudlin_table_invariants():

@@ -1,8 +1,8 @@
 """Batched trial runs: counter-based randomness, frequency tables, audits.
 
-Trial i always consumes row i of a fixed uniform table keyed by the seed, so
-results are a pure function of (spec, strategy, trials, seed) no matter how
-the work is chunked or how many workers chew on it.
+Trial i always consumes value i of a fixed uniform stream keyed by the
+seed, so results are a pure function of (spec, strategy, trials, seed) no
+matter how the work is chunked or how many workers chew on it.
 """
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ from .program import classify_counts, compile_program
 
 # Fixed chunk size: the work split never depends on the worker count.
 CHUNK_TRIALS = 50_000
-# Uniforms one chunk's table may hold: deep trees get fewer rows per chunk.
-CHUNK_VALUES = 8 * CHUNK_TRIALS
 
 # Moving-average window for reading fringe visibility off an empirical
 # histogram (full windows only, so the edges drop out).
@@ -48,23 +46,19 @@ class RunConfig:
             raise ValueError("workers must be at least 1")
 
 
-def table_width(draws: int) -> int:
-    """Row width of the uniform table: ``draws`` padded to whole 4-draw counter blocks."""
-    return ((draws + 3) // 4) * 4
+def trial_uniforms(seed: int, start: int, stop: int, width: int) -> np.ndarray:
+    """Rows [start, stop) of the seed's uniform table, ``width`` values a row.
 
-
-def trial_uniforms(seed: int, start: int, stop: int, padded_draws: int) -> np.ndarray:
-    """Rows [start, stop) of the uniform table for this seed.
-
-    The table is conceptually (trials, padded_draws); because the row width
-    is a whole number of 4-draw counter blocks, any starting row is reached
-    exactly by advancing the counter, and every split reproduces the same
-    bytes as one big draw.
+    The table is the seed's Philox stream cut into rows.  Row ``start``
+    begins at value ``start * width``: the counter advances over the whole
+    4-value blocks before it and the rest of its block is dropped, so any
+    split, at any width, reproduces the bytes of one big draw.
     """
     bg = np.random.Philox(key=seed)
-    if padded_draws:
-        bg.advance((start * padded_draws) // 4)
-    return np.random.Generator(bg).random((stop - start, padded_draws))
+    blocks, skip = divmod(start * width, 4)
+    bg.advance(blocks)
+    values = np.random.Generator(bg).random(skip + (stop - start) * width)
+    return values[skip:].reshape(stop - start, width)
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,14 +108,12 @@ def run_experiment(spec: ExperimentSpec, config: RunConfig) -> tuple[FrequencyTa
     """
     program = compile_program(spec, config.strategy, config.hierarchy_tie_break)
     n = config.n_trials
-    width = table_width(program.draws)
-    rows = min(CHUNK_TRIALS, CHUNK_VALUES // max(width, 1))
-    spans = [(a, min(a + rows, n)) for a in range(0, n, rows)]
+    spans = [(a, min(a + CHUNK_TRIALS, n)) for a in range(0, n, CHUNK_TRIALS)]
 
     def count_chunk(span: tuple[int, int]) -> np.ndarray:
         # Looked up at call time, so a module attribute swapped in by a
         # caller (e.g. a tracer) sees every chunk.
-        return classify_counts(program, trial_uniforms(config.seed, *span, width))
+        return classify_counts(program, trial_uniforms(config.seed, *span, 1))
 
     # More threads than chunks or CPUs only adds overhead.  One worker maps in
     # this thread, and the pool starts none: a thread per call may get a new

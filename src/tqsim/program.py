@@ -1,17 +1,19 @@
 """Compiled decision trees: one per (spec, strategy, tie-break) triple.
 
-The single-trial API and the batched runner execute the same tree, so their
-statistics agree draw for draw.  Internal nodes consume one uniform each and
-split [0, 1) at precomputed cut points; leaves carry the canonical trial
-record (ledger, outcome, audit results) shared by every trial landing there.
-Branch probabilities fall out of the cut geometry, which doubles as an exact
-enumerator for cross-checks.
+Each internal node splits [0, 1) at precomputed cut points, and a branch's
+probability is the product of its slices' widths; leaves carry the canonical
+trial record (ledger, outcome, audit results) shared by every trial landing
+there, and their probabilities double as an exact enumerator for
+cross-checks.  A trial draws one uniform and inverts it through the leaves'
+cumulative probabilities (inverse-transform sampling), so the single-trial
+API and the batched runner agree draw for draw, whatever the tree's depth.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
@@ -75,15 +77,20 @@ class Node:
 
 @dataclass(frozen=True, eq=False)
 class TrialProgram:
+    """A compiled tree.  ``draws`` is its depth in nodes, and ``cdf`` holds
+    the leaves' cut points on [0, 1): the exact prefix sums of
+    ``leaf.probability`` in leaf order, each rounded once to a float, the
+    last one dropped.  Leaf i holds ``cdf[i-1] <= u < cdf[i]``, so a leaf
+    narrower than about one ulp of its place in the cdf (about 1e-16) can
+    never be drawn."""
+
     root: "Node | Leaf"
     leaves: tuple[Leaf, ...]
     draws: int
+    cdf: tuple[float, ...]
 
     def run(self, rng) -> Leaf:
-        node = self.root
-        while isinstance(node, Node):
-            node = node.children[bisect.bisect_right(node.cuts, rng.random())]
-        return node
+        return self.leaves[bisect.bisect_right(self.cdf, rng.random())]
 
     @cached_property
     def census(self) -> dict[str, dict]:
@@ -163,7 +170,11 @@ class _Builder:
             walk, events, winner, children, slot = frames.pop()
             walk.events += events
             children[slot] = self._grow(walk, frames) if winner is None else self._success(walk, winner)
-        return TrialProgram(root[0], tuple(self.leaves), self.max_draws)
+        total, cdf = Fraction(0), []
+        for leaf in self.leaves[:-1]:
+            total += Fraction(leaf.probability)
+            cdf.append(float(total))
+        return TrialProgram(root[0], tuple(self.leaves), self.max_draws, tuple(cdf))
 
     def _check_times(self) -> None:
         """Refuse a non-finite time: events are matched by exact time, so an
@@ -424,46 +435,18 @@ compile_program.__wrapped__ = _build
 
 
 def classify_counts(program: TrialProgram, uniforms: np.ndarray) -> np.ndarray:
-    """Push a (trials, draws) uniform block through the tree; count per leaf.
+    """Count per leaf the trials of a (trials, 1) uniform table.
 
-    Row i lands on the leaf ``program.run`` reaches drawing row i's entries
-    in order, so batched and one-at-a-time execution agree.  At a node,
-    value u goes to child ``bisect_right(cuts, u)`` (``searchsorted(cuts,
-    u, side="right")``): child c holds ``cuts[c-1] <= u < cuts[c]``, and a
-    value on a cut goes to the child above it.  So the children's counts
-    come from ranking the cuts in the node's sorted column:
-    ``searchsorted(sorted, cuts, side="left")`` counts the values below
-    each cut, and its differences are the children's counts.  A leaf child
-    just adds its count; only an internal child takes its rows, through
-    one range mask.
+    Row i lands on the leaf ``program.run`` picks drawing row i's value:
+    leaf ``bisect_right(cdf, u)``, which holds ``cdf[i-1] <= u < cdf[i]``,
+    so a value on a cut goes to the leaf above it.  Ranking the cuts in the
+    sorted column (``searchsorted(sorted, cdf, side="left")``) counts the
+    values below each cut, and its differences are the leaves' counts.  The
+    trial count is the table's row count, so a one-leaf tree, which has no
+    cut, still counts every trial.
     """
-    counts = np.zeros(len(program.leaves), dtype=np.int64)
-    # An explicit stack, not a self-referencing closure: a closure cycle
-    # would keep ``uniforms`` alive until the cyclic collector ran.
-    # Rows reaching a node, as indices into ``uniforms``; None for all of them.
-    stack = [(program.root, None)]
-    while stack:
-        node, rows = stack.pop()
-        if isinstance(node, Leaf):
-            counts[node.index] += uniforms.shape[0] if rows is None else rows.size
-            continue
-        col = uniforms[:, node.draw] if rows is None else uniforms[rows, node.draw]
-        below = np.searchsorted(np.sort(col), node.cuts, side="left")
-        sizes = np.diff(below, prepend=0, append=col.size)
-        for c, (child, size) in enumerate(zip(node.children, sizes)):
-            if not size:
-                continue
-            if isinstance(child, Leaf):
-                counts[child.index] += size
-                continue
-            if c == 0:
-                inside = col < node.cuts[0]
-            elif c == len(node.cuts):
-                inside = col >= node.cuts[-1]
-            else:
-                inside = (col >= node.cuts[c - 1]) & (col < node.cuts[c])
-            stack.append((child, np.flatnonzero(inside) if rows is None else rows[inside]))
-    return counts
+    below = np.searchsorted(np.sort(uniforms[:, 0]), program.cdf, side="left")
+    return np.diff(below, prepend=0, append=uniforms.shape[0])
 
 
 def outcome_distribution(

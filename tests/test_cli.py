@@ -9,7 +9,17 @@ from pathlib import Path
 import pytest
 
 import tqsim
-from tqsim import dce_spec, maudlin_spec, program, spec_to_document
+from tqsim import (
+    CHUNK_TRIALS,
+    RunConfig,
+    dce_spec,
+    load_spec,
+    maudlin_spec,
+    montecarlo,
+    program,
+    run_experiment,
+    spec_to_document,
+)
 from tqsim.cli import main
 
 
@@ -225,7 +235,7 @@ atexit.register(_peak)
 
 
 def test_deep_chain_runs_in_bounded_memory(tmp_path):
-    # 200 draws per trial: a chunk of whole 50 000-trial rows would hold 80 MB.
+    # 200 nodes deep, yet a chunk holds one value per trial.
     path = write_doc(tmp_path, chain_doc(200))
     outs = []
     for workers in ("1", "2"):
@@ -235,6 +245,32 @@ def test_deep_chain_runs_in_bounded_memory(tmp_path):
         assert int(proc.stderr.split()[1]) < 80 * 1024
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("rounds", [8, 1000])
+def test_a_run_classifies_each_chunk_once_whatever_the_depth(monkeypatch, rounds):
+    calls = []
+    classify = montecarlo.classify_counts
+
+    def counted(program, uniforms):
+        calls.append(uniforms.shape)
+        return classify(program, uniforms)
+
+    monkeypatch.setattr(montecarlo, "classify_counts", counted)
+    n = 2 * CHUNK_TRIALS + 1
+    table, report = run_experiment(load_spec(json.dumps(chain_doc(rounds))), RunConfig(n, 7))
+    assert calls == [(CHUNK_TRIALS, 1), (CHUNK_TRIALS, 1), (1, 1)]
+    assert sum(table.counts.values()) == n
+    assert report.clean()
+
+
+def test_a_deep_chain_runs_in_seconds(tmp_path):
+    # One draw per trial, whatever the depth.  Classified node by node, in
+    # chunks shrunk to fit a row per trial, this run took about 9 s on 2 CPUs.
+    path = write_doc(tmp_path, chain_doc(1000))
+    proc = run_bounded(["run", "--spec", path, "--trials", "100000", "--seed", "7"], timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["trials"] == 100_000
 
 
 def test_validate_refuses_a_screen_too_wide_to_compile(tmp_path):

@@ -1051,12 +1051,14 @@ def test_trial_diverted_channel():
 
 
 def test_trial_coin_paths():
-    spec = dce_spec("coinflip")
-    up = compile_program(spec, "sequential").run(FakeRng([0.3, 0.2]))
+    # One draw per trial, read against the leaves' cdf: the "up" face holds
+    # [0, 0.5), TA its lower and TB its upper quarter; "down" the screen.
+    program = compile_program(dce_spec("coinflip"), "sequential")
+    up = program.run(FakeRng([0.2]))
     assert (up.outcome, up.coin_outcome) == ("TA", "up")
-    up2 = compile_program(spec, "sequential").run(FakeRng([0.3, 0.9]))
+    up2 = program.run(FakeRng([0.3]))
     assert (up2.outcome, up2.coin_outcome) == ("TB", "up")
-    down = compile_program(spec, "sequential").run(FakeRng([0.7, 0.5]))
+    down = program.run(FakeRng([0.7]))
     assert down.coin_outcome == "down"
     assert down.outcome.startswith("bin")
 

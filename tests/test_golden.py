@@ -1,11 +1,13 @@
 """Golden digests: payload bytes, exact laws, leaf records and dumped documents.
 
-``GOLDEN`` covers every admissible builtin x strategy pair; its digests were
-recorded before the resolution arithmetic was shared between the tree
-builder and the rng resolvers.  ``LEAF_GOLDEN`` pins every field of every
-leaf (ledger, condition order, terminal-event times) of those trees and of
-the hand-built layouts in ``HAND_BUILT_CASES``; each entry was recorded
-before the change it guards.  Both pin that any later restructuring leaves
+``GOLDEN`` covers every admissible builtin x strategy pair.  Its exact-law
+digests were recorded before the resolution arithmetic was shared between
+the tree builder and the rng resolvers; its payload digests were recorded
+again when a trial came to draw one uniform through the leaves' cdf in place
+of one per node, which changed the bytes each seed produces.
+``LEAF_GOLDEN`` pins every field of every leaf (ledger, condition order,
+terminal-event times) of those trees and of the hand-built layouts in
+``HAND_BUILT_CASES``; each entry was recorded before the change it guards.  Both pin that any later restructuring leaves
 every output byte and trial record where it was.  The six inadmissible
 pairs are covered by ``test_single_round_strategies_reject_contingent_specs``.
 
@@ -44,23 +46,23 @@ from tqsim import (
 # (payload sha256 at 20 000 trials / seed 7, exact-law sha256 with float.hex values)
 GOLDEN = {
     ("maudlin", "sequential"): (
-        "58a20ccfe62ba962963a336c04e5d19ead152f35acdc6a1891f522016cb45121",
+        "6af74e59854623a625c3c2e0fc8bd6db99f17610b05368179a7dabba34b6ca71",
         "12a7d7130f54b7d090642dbbf497d0e08119a07fecfcaaace0a0c7f56cc3a5d3",
     ),
     ("miller", "sequential"): (
-        "e05e2efd0a40862d2be1ed0abdb3b9e249ecec784bf825decc956dc9c20758f0",
+        "a91365a0dd418c7051a3e1f82879ee902476b7b6a10e16af388d7f4f68617c44",
         "7043fb96a99ae7fdbdfba84e494ef016f0599cd9626942cc9bac553908d84f4b",
     ),
     ("dce-coinflip", "sequential"): (
-        "f5608dc06507182a1d4671f3443afae021dbc499900f59139240889877125add",
+        "fdad486b4548ecd18b8bb41acd6d2504c0fbbf1938d34a2781dc90ea52a250a9",
         "424434eac799ffe8020f67221409dd151a4f2bd7eb1daa61ba2faea3be7f8b36",
     ),
     ("dce-keep", "sequential"): (
-        "b648e71e486941260c2189501311158ec96a789471f3dafb8bd7b0d08d669026",
+        "3b3e3c92ce71ca223cb97fb9117416aa398cd74be30bc25f15880ecf0a122956",
         "abf3388705b615bf9822c347023ca4d40e9a9f20a348cd8f368a3f03c248d167",
     ),
     ("dce-keep", "global-echo"): (
-        "e2ae3a08b8e801e5f194424b352e77e95fc03d705088725541d7891b95bdac16",
+        "271bdc4dca0c99b13934fc3644faf67b116783a5c1ed291e65727eb9746bd9be",
         "abf3388705b615bf9822c347023ca4d40e9a9f20a348cd8f368a3f03c248d167",
     ),
     ("dce-keep", "hierarchy"): (
@@ -68,11 +70,11 @@ GOLDEN = {
         "c220822c499867717bdd59670cddf86898d7d3b8b6d437e20d3fd77fb9840006",
     ),
     ("dce-remove", "sequential"): (
-        "921eb8070fa61e57628cd7e4cd4f2f1769a2050a094e2feae2faf8094f9d216c",
+        "60ca8407260490f31ae4ff592b9954cdca131703a80b02f4c605b3021913f9cf",
         "8985137ee8ad15236d76d433913784229d093d648e5f0b5f2880a2468c80d514",
     ),
     ("dce-remove", "global-echo"): (
-        "347f6c372f97d46c831bc15e8b942210746b5b4180910755d7868844d11116f2",
+        "0d3cc36788e84584d9a3d17b9622dbb217cd9f81e851f87b0aae72a65416cad8",
         "8985137ee8ad15236d76d433913784229d093d648e5f0b5f2880a2468c80d514",
     ),
     ("dce-remove", "hierarchy"): (

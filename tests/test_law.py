@@ -7,6 +7,7 @@ leaf probabilities.  The bound below is Bernstein's, as ``bench/checks.py``
 uses it; it is restated here so that the tests do not lean on the benchmark.
 """
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -173,3 +174,60 @@ def test_a_run_that_never_reaches_the_screen_still_has_its_histogram():
     else:
         pytest.fail("no one-trial run landed on a telescope")
     assert table.histogram.counts == (0,) * spec.screen.bins == (0,) * 201
+
+
+# -- the sampler's own law ---------------------------------------------------
+
+# numpy's random() returns k / 2**53, k uniform on [0, 2**53).
+GRID = 2**53
+# Each cut point is the exact prefix sum rounded once (off by at most 2**-54
+# below 1) and then moved up to the grid (by less than 2**-53); a leaf's two
+# cuts together move its width by less than 3 * 2**-53.  The last leaf also
+# takes up whatever the leaf probabilities miss of 1.
+SAMPLER_ATOL = Fraction(3, GRID)
+
+
+def sampler_law(program) -> list[Fraction]:
+    """Exact probability that one uniform lands on each leaf: the share of
+    grid points k / 2**53 with cdf[i-1] <= k / 2**53 < cdf[i]."""
+    edges = [0, *(min(math.ceil(c * GRID), GRID) for c in program.cdf), GRID]
+    return [Fraction(b - a, GRID) for a, b in zip(edges, edges[1:])]
+
+
+def cascade_spec(strategy_name: str) -> ExperimentSpec:
+    """Eight equal-weight channels absorbing at t = 1..8, as the benchmark's
+    cascade: a depth-7 chain under ``sequential``, one 8-way split otherwise."""
+    at = SpacetimePoint
+    channels = tuple(f"c{k}" for k in range(8))
+    return ExperimentSpec(
+        name=f"cascade-{strategy_name}",
+        emission=at(0.0, 0.0),
+        initial_state=StateVector(channels, (complex(math.sqrt(1 / 8)),) * 8),
+        absorbers=tuple(
+            AbsorberConfig(f"D{t}", ch, at(float(t), 0.5 * t * (-1) ** t))
+            for t, ch in enumerate(reversed(channels), start=1)
+        ),
+    )
+
+
+def sampler_cases():
+    cases = [(builtin_spec(name), strategy) for name, strategy in admissible_pairs()]
+    for strategy in ("sequential", "global-echo", "hierarchy"):
+        cases.append((cascade_spec(strategy), strategy))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "spec,strategy", sampler_cases(), ids=lambda v: v if isinstance(v, str) else v.name
+)
+def test_the_sampler_draws_each_leaf_with_its_probability(spec, strategy):
+    program = compile_program(spec, strategy)
+    probabilities = [Fraction(leaf.probability) for leaf in program.leaves]
+    missing = abs(1 - sum(probabilities))
+    law = sampler_law(program)
+    assert sum(law) == 1
+    for i, (drawn, p) in enumerate(zip(law, probabilities)):
+        bound = SAMPLER_ATOL + (missing if i == len(law) - 1 else 0)
+        assert abs(drawn - p) <= bound, (i, float(drawn), float(p))
+        if p > Fraction(2, GRID):
+            assert drawn > 0, f"leaf {i} of width {float(p)} is unreachable"

@@ -9,6 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import FakeRng
 from tqsim import (
@@ -38,27 +39,45 @@ from tqsim.program import Leaf, Node, TrialProgram, classify_counts
 # -- uniform table ------------------------------------------------------------
 
 def test_uniform_table_rows_do_not_depend_on_chunking():
-    whole = trial_uniforms(7, 0, 10, 4)
-    parts = np.vstack([trial_uniforms(7, 0, 3, 4), trial_uniforms(7, 3, 10, 4)])
+    whole = trial_uniforms(7, 0, 10, 1)
+    parts = np.vstack([trial_uniforms(7, 0, 3, 1), trial_uniforms(7, 3, 10, 1)])
+    assert whole.shape == (10, 1)
     assert np.array_equal(whole, parts)
 
 
 def test_uniform_table_wide_rows():
+    # Rows of any width cut the same stream: an 8-value row is 8 one-value rows.
     whole = trial_uniforms(99, 0, 6, 8)
     assert whole.shape == (6, 8)
+    assert np.array_equal(whole.ravel(), trial_uniforms(99, 0, 48, 1).ravel())
     tail = trial_uniforms(99, 5, 6, 8)
     assert np.array_equal(whole[5:], tail)
 
 
 def test_uniform_table_seeds_differ():
-    assert not np.array_equal(trial_uniforms(1, 0, 4, 4), trial_uniforms(2, 0, 4, 4))
+    assert not np.array_equal(trial_uniforms(1, 0, 4, 1), trial_uniforms(2, 0, 4, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.sampled_from([1, 3, 4]),
+    seed=st.integers(0, 2**128 - 1),
+    cuts=st.lists(st.integers(0, 41), max_size=4),
+)
+@example(width=1, seed=7, cuts=[1, 2, 7])
+@example(width=3, seed=7, cuts=[5, 6, 30])
+def test_uniform_table_splits_at_any_row(width, seed, cuts):
+    # A row may start inside a 4-value counter block (start * width % 4 != 0).
+    bounds = [0, *sorted(cuts), 41]
+    parts = [trial_uniforms(seed, a, b, width) for a, b in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.vstack(parts), trial_uniforms(seed, 0, 41, width))
 
 
 # -- batched execution --------------------------------------------------------
 
 def test_batched_counts_match_one_at_a_time_replay():
     program = compile_program(maudlin_spec(), ResolutionStrategy.SEQUENTIAL, True)
-    table = trial_uniforms(11, 0, 300, montecarlo.table_width(program.draws))
+    table = trial_uniforms(11, 0, 300, 1)
     counts = classify_counts(program, table)
 
     replayed = Counter()
@@ -71,31 +90,23 @@ def test_batched_counts_match_one_at_a_time_replay():
 
 
 def rows_at_the_cuts(program):
-    """Every combination, across the draw columns, of 0.0, each cut drawn
-    in that column and the float just below it."""
-    values = [{0.0} for _ in range(program.draws)]
-    stack = [program.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Node):
-            for cut in node.cuts:
-                values[node.draw] |= {cut, float(np.nextafter(cut, 0.0))}
-            stack.extend(node.children)
-    return np.array(list(itertools.product(*map(sorted, values))), dtype=float)
+    """One-value rows: 0.0, each of the leaves' cut points and the float
+    just below it, as far as a draw can take them (below 1)."""
+    values = {0.0}
+    for cut in program.cdf:
+        values |= {cut, float(np.nextafter(cut, 0.0))}
+    return np.array(sorted(v for v in values if v < 1.0), dtype=float)[:, None]
 
 
 def hand_built_program():
-    """Internal children first, in the middle and last; a repeated cut
-    leaves a zero-width slice at every level."""
+    """Twelve leaves on one node, zero-width ones first, in the middle (two
+    in a row) and last, so cut points repeat."""
+    widths = [0, 1, 2, 1, 0, 0, 3, 1, 4, 2, 2, 0]
     leaves = tuple(
-        Leaf(i, f"L{i}", None, None, (), 0.0, (), 0.0) for i in range(12)
+        Leaf(i, f"L{i}", None, None, (), 0.0, (), w / 16) for i, w in enumerate(widths)
     )
-    first = Node(1, (0.3, 0.6), leaves[0:3])
-    deep = Node(2, (0.25, 0.25, 0.75), leaves[5:9])
-    middle = Node(1, (0.4, 0.4), (leaves[3], leaves[4], deep))
-    last = Node(1, (0.5,), leaves[9:11])
-    root = Node(0, (0.2, 0.5, 0.5, 0.8), (first, leaves[11], middle, middle, last))
-    return TrialProgram(root, leaves, 3)
+    cdf = tuple(itertools.accumulate(w / 16 for w in widths[:-1]))
+    return TrialProgram(Node(0, cdf, list(leaves)), leaves, 1, cdf)
 
 
 @pytest.mark.parametrize(
@@ -119,6 +130,7 @@ def test_batched_and_single_trials_land_on_the_same_leaf_at_the_cuts(make):
     counts = classify_counts(program, table)
     assert counts.dtype == np.int64
     assert counts.tolist() == np.bincount(landed, minlength=len(program.leaves)).tolist()
+    assert not any(c for c, leaf in zip(counts, program.leaves) if leaf.probability == 0.0)
 
 
 def test_classification_of_an_empty_table():
@@ -127,7 +139,7 @@ def test_classification_of_an_empty_table():
         compile_program(dce_spec("keep"), "hierarchy"),
         hand_built_program(),
     ):
-        counts = classify_counts(program, np.empty((0, montecarlo.table_width(program.draws))))
+        counts = classify_counts(program, np.empty((0, 1)))
         assert counts.dtype == np.int64
         assert counts.tolist() == [0] * len(program.leaves)
 
@@ -136,7 +148,7 @@ def test_classification_frees_its_table():
     # No reference cycle may outlive the call and pin the chunk's table
     # until the cyclic collector happens to run.
     program = compile_program(dce_spec("keep"), ResolutionStrategy.SEQUENTIAL, True)
-    table = trial_uniforms(3, 0, 1_000, montecarlo.table_width(program.draws))
+    table = trial_uniforms(3, 0, 1_000, 1)
     ref = weakref.ref(table)
     gc.disable()
     try:

@@ -262,9 +262,9 @@ class _Builder:
         return self._resolve(walk, split, frames)
 
     def _split(self, walk: _Walk, points: tuple[float, ...], outcomes: list, frames: list) -> Node:
-        """A node drawing one uniform.  Outcome i is (events, winner or
-        None): its frame grows from a copy of ``walk`` weighted by the width
-        of slice i, which records those events first."""
+        """A node splitting [0, 1) at ``points``.  Outcome i is (events,
+        winner or None): its frame grows from a copy of ``walk`` weighted by
+        the width of slice i, which records those events first."""
         node = Node(walk.draws, points, [None] * len(outcomes))
         bounds = (0.0,) + points + (1.0,)
         for i in reversed(range(len(outcomes))):

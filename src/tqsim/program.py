@@ -444,8 +444,15 @@ def classify_counts(program: TrialProgram, uniforms: np.ndarray) -> np.ndarray:
     values below each cut, and its differences are the leaves' counts.  The
     trial count is the table's row count, so a one-leaf tree, which has no
     cut, still counts every trial.
+
+    The column is sorted in place; counts do not depend on row order.  A
+    sorted copy would make each chunk free two tables where it now frees
+    one, which is just enough for malloc to hand the heap back to the
+    kernel after every chunk and fault it in again for the next.
     """
-    below = np.searchsorted(np.sort(uniforms[:, 0]), program.cdf, side="left")
+    column = uniforms[:, 0]
+    column.sort()
+    below = np.searchsorted(column, program.cdf, side="left")
     return np.diff(below, prepend=0, append=uniforms.shape[0])
 
 

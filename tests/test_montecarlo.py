@@ -4,6 +4,7 @@ import itertools
 import json
 import sys
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -142,6 +143,23 @@ def test_classification_of_an_empty_table():
         counts = classify_counts(program, np.empty((0, 1)))
         assert counts.dtype == np.int64
         assert counts.tolist() == [0] * len(program.leaves)
+
+
+def test_classification_sorts_its_table_in_place():
+    # A table-sized copy per chunk sets glibc's heap trimming going after
+    # every chunk, and each chunk then pays a fresh page fault per 4 KiB.
+    program = compile_program(dce_spec("keep"), ResolutionStrategy.SEQUENTIAL, True)
+    table = trial_uniforms(3, 0, CHUNK_TRIALS, 1)
+    expected = np.sort(table[:, 0])
+    tracemalloc.start()
+    try:
+        counts = classify_counts(program, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes // 10
+    assert np.array_equal(table[:, 0], expected)
+    assert counts.sum() == CHUNK_TRIALS
 
 
 def test_classification_frees_its_table():

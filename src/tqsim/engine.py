@@ -14,10 +14,11 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+from collections import ChainMap
+from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 from .quantum import StateVector
 
@@ -127,6 +128,18 @@ def sort_by_interval(
     return ordered
 
 
+def exact_units(x: float) -> int:
+    """``x`` as a whole number of 2**-1074, the spacing of the subnormal
+    floats, so that sums of floats are exact."""
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+def rounded(units: int) -> float:
+    """A sum of :func:`exact_units`, rounded once, as ``math.fsum`` rounds."""
+    return units / (1 << 1074)
+
+
 def split_unit(weights: Sequence[float], mass: float = 1.0) -> tuple[tuple[float, ...], float]:
     """Cut points giving consecutive slices of [0, 1) widths w_i / mass.
 
@@ -135,7 +148,7 @@ def split_unit(weights: Sequence[float], mass: float = 1.0) -> tuple[tuple[float
     the last weight gets its own cut when it is wider than ``RESIDUAL_SNAP``;
     a narrower sliver is rounding, and the last weight's slice runs to 1.
     """
-    cum = [float(p) / mass for p in accumulate(map(Fraction, weights))]
+    cum = [rounded(p) / mass for p in accumulate(map(exact_units, weights))]
     residual = 1.0 - (cum[-1] if cum else 0.0)
     if residual > RESIDUAL_SNAP:
         return tuple(cum), residual
@@ -226,11 +239,69 @@ def emitter_label(absorbers: Iterable[str]) -> str:
     return "OW(" + ",".join(sorted(set(absorbers))) + ")"
 
 
+class Record(Sequence):
+    """A ledger's events as an immutable, parent-linked sequence.
+
+    A segment's events, ``items[:stop]`` less the one at ``skip``, follow
+    its parent's.  So a tree node stores the events it adds once, and a
+    resolution node its candidates' failures once for all its children: a
+    winner's segment skips the winner's own failure (or stops before it).
+    ``len`` is kept on each segment.  ``audit`` holds the
+    :class:`Findings` of the whole sequence once its maker has folded it.
+    """
+
+    __slots__ = ("parent", "items", "stop", "skip", "size", "audit")
+
+    def __init__(
+        self,
+        parent: "Record | None",
+        items: tuple[LedgerEvent, ...],
+        stop: int | None = None,
+        skip: int | None = None,
+    ):
+        self.parent, self.items, self.skip = parent, items, skip
+        self.stop = len(items) if stop is None else stop
+        self.size = (0 if parent is None else parent.size) + self.stop - (skip is not None)
+        self.audit: Findings | None = None
+
+    def __len__(self) -> int:
+        return self.size
+
+    def own(self) -> tuple[LedgerEvent, ...]:
+        """This segment's events, without its parent's."""
+        if self.skip is None:
+            return self.items[: self.stop]
+        return self.items[: self.skip] + self.items[self.skip + 1 : self.stop]
+
+    def __iter__(self):
+        segments = []
+        segment = self
+        while segment is not None:
+            segments.append(segment)
+            segment = segment.parent
+        for s in reversed(segments):
+            yield from s.own()
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Record, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Record({tuple(self)!r})"
+
+
 @dataclass(frozen=True, slots=True)
 class TrialLedger:
     """Complete causal record of one trial; ``emitter_state`` is its :func:`emitter_label`."""
 
-    events: tuple[LedgerEvent, ...]
+    events: Sequence[LedgerEvent]
     emitter_state: str
     final_outcome: str
 
@@ -260,23 +331,209 @@ class CoinOutcome:
 
 Trigger = Always | TransactionFailed | CoinOutcome
 
+_TERMINALS = (NO_OUTCOME, DEGENERATE)
+_TERMINAL_KINDS = (EventKind.NO_TRANSACTION, EventKind.DEGENERATE)
+_APPARATUS = (EventKind.PLACE, EventKind.DIVERT, EventKind.REMOVE_SCREEN)
+# Condition prefixes of the resolutions recorded for trigger-named absorbers.
+_RESOLVED = {EventKind.FAILURE: "failed", EventKind.SUCCESS: "succeeded"}
+
+
+class Audit:
+    """What a record shows so far, folded one event at a time by :meth:`step`.
+
+    It keeps the rules fired, the triggers met (failures that ``triggers``
+    name, coin faces), the absorbers that answered and the emitter's label,
+    each absorber's first resolution, the leaf conditions (the coin's face
+    and the resolutions of trigger-named absorbers), the weight offered, and
+    the share of the emitted state no confirmation has taken up: ``shares``
+    maps a channel to its share |amp|^2, and a confirmation on a channel in
+    ``whole`` (a screen bin) takes up all of it.  :meth:`close` gives what
+    :func:`check_bilking` reports from.
+    """
+
+    _TABLES = ("seen", "fired", "answered", "channels", "resolved", "dups")
+
+    def __init__(
+        self, triggers: Sequence[Trigger] = (), shares: dict | None = None, whole: Iterable[str] = ()
+    ):
+        self.triggers = tuple(triggers)
+        self.named = {t for t in self.triggers if isinstance(t, TransactionFailed)}
+        self.refs = {t.absorber for t in self.named}
+        self.shares = {ch: exact_units(share) for ch, share in (shares or {}).items()}
+        self.whole = frozenset(whole)
+        self.seen, self.fired, self.answered, self.channels, self.resolved, self.dups = (
+            {}, {}, {}, {}, {}, {}
+        )
+        self.names: tuple[str, ...] = ()  # the answered absorbers, sorted
+        self.unsorted: list[str] = []  # answered since ``names`` was sorted
+        self._label: str | None = None
+        self.problems: tuple[str, ...] = ()
+        self.unanswered: tuple[str, ...] = ()  # failed before (or without) answering
+        self.conditions: tuple[str, ...] = ()
+        self.successes = self.resolutions = 0
+        self.winner = self.coin = self.last = None
+        self.offered = 0  # in units of 2**-1074
+        self.untaken: int | None = sum(self.shares.values())  # None once all is taken
+
+    def step(self, e: LedgerEvent) -> None:
+        kind, absorber = e.kind, e.absorber
+        if e.rule_index is not None:
+            if kind in _APPARATUS:
+                # The trigger must be met strictly earlier on the record.
+                if e.rule_index >= len(self.triggers):
+                    self.problems += (f"rule-index-out-of-range:{e.rule_index}",)
+                elif not self.satisfied(self.triggers[e.rule_index]):
+                    self.problems += (f"placement-without-prior-trigger:rule{e.rule_index}@t={e.time}",)
+            self.fired[e.rule_index] = None
+        if kind is EventKind.CW:
+            if absorber is not None and absorber not in self.answered:
+                self.answered[absorber] = None
+                self.unsorted.append(absorber)
+                self._label = None
+            if e.channel not in self.channels:
+                self.channels[e.channel] = None
+                if e.channel in self.whole:
+                    self.untaken = None
+                elif self.untaken is not None:
+                    self.untaken -= self.shares.get(e.channel, 0)
+            if e.weight is not None:
+                self.offered += exact_units(e.weight)
+        elif kind in _RESOLVED:
+            if absorber:
+                if absorber in self.resolved:
+                    self.dups[absorber] = None
+                else:
+                    self.resolved[absorber] = self.resolutions
+                    self.resolutions += 1
+            if kind is EventKind.SUCCESS:
+                self.successes += 1
+                if self.successes == 1:
+                    self.winner = absorber
+            elif absorber not in self.answered:
+                self.unanswered += (absorber,)
+            if absorber in self.refs:
+                self.conditions += (f"{_RESOLVED[kind]}:{absorber}",)
+                if kind is EventKind.FAILURE and e.time == e.time:  # NaN meets no trigger
+                    met = TransactionFailed(absorber, e.time)
+                    if met in self.named:
+                        self.seen[met] = None
+        elif kind is EventKind.COIN:
+            self.seen[CoinOutcome(e.label)] = None
+            if self.coin is None:
+                self.coin = e.label
+            self.conditions += (f"coin:{e.label}",)
+        self.last = kind
+
+    def fold(self, events: Iterable[LedgerEvent]) -> "Audit":
+        for e in events:
+            self.step(e)
+        return self
+
+    def satisfied(self, trigger: Trigger) -> bool:
+        """Is the trigger's condition on the record so far?"""
+        if isinstance(trigger, Always):
+            return True
+        if isinstance(trigger, (TransactionFailed, CoinOutcome)):
+            return trigger in self.seen
+        raise TypeError(f"unknown trigger {trigger!r}")
+
+    @property
+    def label(self) -> str:
+        if self._label is None:
+            # Two sorted runs: sorting them merges them, in linear time.
+            self.names = tuple(sorted(self.names + tuple(sorted(self.unsorted))))
+            self.unsorted = []
+            self._label = emitter_label(self.names)
+        return self._label
+
+    @property
+    def weights(self) -> tuple[float, float]:
+        """The weight offered, and the share of the emitted state not taken
+        up (0 once all is), each summed exactly and rounded once."""
+        return rounded(self.offered), 0.0 if self.untaken is None else rounded(self.untaken)
+
+    def notable(self, failures: Sequence[LedgerEvent]) -> list[int]:
+        """Indices of the ``failures`` that would mark this audit beyond
+        entering a fresh, answered absorber's first resolution: an
+        unanswered, already resolved or trigger-named absorber, or any when
+        one repeats.  A record that goes on with some of these failures and
+        then ends with the success of an absorber whose own failure it left
+        out need fold only the notable ones: nothing after them looks at the
+        others."""
+        repeats = len({e.absorber for e in failures}) < len(failures)
+        return [
+            j for j, e in enumerate(failures)
+            if repeats or not e.absorber or e.absorber not in self.answered
+            or e.absorber in self.resolved or e.absorber in self.refs
+        ]
+
+    def fork(self, overlay: bool = False) -> "Audit":
+        """An audit to fold on apart from this one.  An overlay copies
+        nothing: it stacks fresh tables on the ones resolutions write and
+        shares the rest, so it may fold only failures and successes, and
+        this audit must not change while the overlay is in use."""
+        self.label  # sorts the names, so that the fork shares them and the label
+        other = object.__new__(Audit)
+        other.__dict__.update(self.__dict__)
+        other.unsorted = []
+        for name in ("seen", "resolved", "dups") if overlay else self._TABLES:
+            table = getattr(self, name)
+            setattr(other, name, ChainMap({}, table) if overlay else dict(table))
+        return other
+
+    def close(self) -> "Findings":
+        return Findings(
+            self.triggers,
+            self.problems,
+            self.successes,
+            self.winner,
+            tuple(sorted(self.dups, key=self.resolved.__getitem__)),
+            self.last in _TERMINAL_KINDS,
+            self.label,
+            self.winner in self.answered,
+            tuple(a for a in self.unanswered if a not in self.answered),
+        )
+
+
+class Findings(NamedTuple):
+    """A whole record's audit, folded against ``triggers``: what
+    :func:`check_bilking` needs besides the ledger's recorded outcome and
+    emitter state."""
+
+    triggers: tuple[Trigger, ...]
+    problems: tuple[str, ...]  # trigger checks, in record order
+    successes: int
+    winner: str | None  # the first success's absorber
+    duplicates: tuple[str, ...]  # resolved more than once, by first resolution
+    terminal: bool  # the record ends in a terminal event
+    label: str  # the emitter label of the absorbers that answered
+    winner_answered: bool
+    unanswered: tuple[str, ...]  # each failure of an absorber that never answered
+
+    def violations(self, outcome: str, emitter_state: str) -> list[str]:
+        found = list(self.problems)
+        if self.successes > 1:
+            found.append("multiple-success")
+        found += [f"duplicate-resolution:{a}" for a in self.duplicates]
+        if self.successes == 1:
+            if outcome != self.winner:
+                found.append(f"outcome-mismatch:recorded={outcome},won={self.winner}")
+        else:
+            if outcome not in _TERMINALS:
+                found.append(f"outcome-mismatch:no-success-but-outcome={outcome}")
+            if not self.terminal:
+                found.append("missing-terminal-event")
+        if emitter_state != self.label:
+            found.append("emitter-state-mismatch:ledger-disagrees-with-cw-record")
+        if self.successes == 1 and not self.winner_answered:
+            found.append(f"outcome-mismatch:{self.winner}-not-in-{self.label}")
+        found += [f"failure-without-cw:{a}" for a in self.unanswered]
+        return found
+
 
 def trigger_satisfied(trigger: Trigger, events: Sequence[LedgerEvent]) -> bool:
     """Is the trigger's condition on the record (strictly earlier events)?"""
-    if isinstance(trigger, Always):
-        return True
-    if isinstance(trigger, TransactionFailed):
-        return any(
-            e.kind is EventKind.FAILURE and e.absorber == trigger.absorber and e.time == trigger.time
-            for e in events
-        )
-    if isinstance(trigger, CoinOutcome):
-        return any(e.kind is EventKind.COIN and e.label == trigger.label for e in events)
-    raise TypeError(f"unknown trigger {trigger!r}")
-
-
-_TERMINALS = (NO_OUTCOME, DEGENERATE)
-_APPARATUS = (EventKind.PLACE, EventKind.DIVERT, EventKind.REMOVE_SCREEN)
+    return Audit((trigger,)).fold(events).satisfied(trigger)
 
 
 def check_bilking(ledger: TrialLedger, triggers: Sequence[Trigger] = ()) -> list[str]:
@@ -287,52 +544,14 @@ def check_bilking(ledger: TrialLedger, triggers: Sequence[Trigger] = ()) -> list
     one transaction succeeded, or the ledger ends in an explicit terminal
     state; (c) the recorded outcome and emitter state agree.  Violations are
     reported as strings; an empty list means the record is clean.
+
+    A :class:`Record` its maker folded against the same ``triggers`` is
+    reported from that fold; any other sequence is folded here, once.
     """
-    violations: list[str] = []
-    events = ledger.events
-
-    for i, e in enumerate(events):
-        if e.kind in _APPARATUS and e.rule_index is not None:
-            if e.rule_index >= len(triggers):
-                violations.append(f"rule-index-out-of-range:{e.rule_index}")
-                continue
-            if not trigger_satisfied(triggers[e.rule_index], events[:i]):
-                violations.append(
-                    f"placement-without-prior-trigger:rule{e.rule_index}@t={e.time}"
-                )
-
-    successes = [e for e in events if e.kind is EventKind.SUCCESS]
-    if len(successes) > 1:
-        violations.append("multiple-success")
-    resolved: dict[str, int] = {}
-    for e in events:
-        if e.kind in (EventKind.SUCCESS, EventKind.FAILURE) and e.absorber:
-            resolved[e.absorber] = resolved.get(e.absorber, 0) + 1
-    for absorber, n in resolved.items():
-        if n > 1:
-            violations.append(f"duplicate-resolution:{absorber}")
-    if len(successes) == 1:
-        winner = successes[0].absorber
-        if ledger.final_outcome != winner:
-            violations.append(f"outcome-mismatch:recorded={ledger.final_outcome},won={winner}")
-    else:
-        if ledger.final_outcome not in _TERMINALS:
-            violations.append(f"outcome-mismatch:no-success-but-outcome={ledger.final_outcome}")
-        terminal = (EventKind.NO_TRANSACTION, EventKind.DEGENERATE)
-        if not events or events[-1].kind not in terminal:
-            violations.append("missing-terminal-event")
-
-    answered = {e.absorber for e in events if e.kind is EventKind.CW and e.absorber is not None}
-    expected = emitter_label(answered)
-    if ledger.emitter_state != expected:
-        violations.append("emitter-state-mismatch:ledger-disagrees-with-cw-record")
-    if len(successes) == 1 and successes[0].absorber not in answered:
-        violations.append(f"outcome-mismatch:{successes[0].absorber}-not-in-{expected}")
-    for e in events:
-        if e.kind is EventKind.FAILURE and e.absorber not in answered:
-            violations.append(f"failure-without-cw:{e.absorber}")
-
-    return violations
+    found = getattr(ledger.events, "audit", None)
+    if found is None or (found.triggers is not triggers and found.triggers != tuple(triggers)):
+        found = Audit(triggers).fold(ledger.events).close()
+    return found.violations(ledger.final_outcome, ledger.emitter_state)
 
 
 def is_mismatch(violation: str) -> bool:

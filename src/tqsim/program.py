@@ -7,14 +7,22 @@ there, and their probabilities double as an exact enumerator for
 cross-checks.  A trial draws one uniform and inverts it through the leaves'
 cumulative probabilities (inverse-transform sampling), so the single-trial
 API and the batched runner agree draw for draw, whatever the tree's depth.
+
+A tree stores each of its events once.  Each leaf's ledger is a
+parent-linked :class:`~tqsim.engine.Record`: a node stores the events it
+adds, a resolution node its candidates' failures once for all its children,
+and a winner's leaf adds only its success.  The audit is a fold
+(:class:`~tqsim.engine.Audit`) carried down the tree with each branch, so a
+node checks only what it adds, and a leaf's verdict, conditions, emitter
+label and weight-sum error are read off the fold where the branch ends.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,9 +32,11 @@ from .engine import (
     DEGENERATE,
     NO_OUTCOME,
     Always,
+    Audit,
     EventKind,
     IncipientTransaction,
     LedgerEvent,
+    Record,
     ResolutionStrategy,
     SpacetimePoint,
     StrategyError,
@@ -34,22 +44,21 @@ from .engine import (
     TrialLedger,
     check_bilking,
     cuts,
-    emitter_label,
+    exact_units,
     is_mismatch,
+    rounded,
     split_unit,
-    trigger_satisfied,
 )
 
 # Kinds of the next event on a branch; on equal times the smaller kind goes
 # first (the coin, then scheduled actions, then absorptions).
 _COIN, _ACTIONS, _ABSORB = 0, 1, 2
 
-# Condition prefixes of the resolutions recorded for trigger-named absorbers.
-_RESOLVED = {EventKind.FAILURE: "failed", EventKind.SUCCESS: "succeeded"}
-
-# Ledger events one tree's leaves may hold together.  Every screen leaf
-# copies the branch's shared prefix, so a wide screen grows its tree
-# quadratically in the bin count; past this bound the tree is refused.
+# Ledger events one tree's leaves may hold together, counted as if each
+# leaf held its whole record.  The tree stores each event once, but a screen
+# leaf's record still reads as the branch's shared prefix plus every other
+# bin's failure, so the count grows with the square of the bin count (and of
+# a chain's depth); past this bound the tree is refused.
 MAX_LEDGER_EVENTS = 2_000_000
 
 
@@ -117,29 +126,58 @@ class TrialProgram:
         }
 
 
-def _coin_face(events: Sequence[LedgerEvent]) -> str | None:
-    return next((e.label for e in events if e.kind is EventKind.COIN), None)
-
-
 @dataclass
 class _Walk:
-    """Mutable branch state while the tree is being grown.  ``events`` is
-    the branch's only record: rules fire, the coin shows its face, and the
-    spent channels and leaf conditions are read, off it."""
+    """Mutable branch state while the tree is being grown.  The branch's
+    record is ``record``, its events up to its last split, then ``fresh``,
+    those since; ``audit`` folds each event as :meth:`add` appends it, and
+    rules fire, the coin shows its face, and the spent channels and leaf
+    conditions are read, off that fold."""
 
     time: float
     present: dict[str, tuple[str, SpacetimePoint]]
+    audit: Audit
+    record: Record | None = None
+    fresh: list[LedgerEvent] = field(default_factory=list)
     draws: int = 0
     prob: float = 1.0
-    events: list[LedgerEvent] = field(default_factory=list)
     # Every candidate confirmed on this branch; the fixed strategies let
     # them all compete in one round once the branch has run its course.
-    offered: list[IncipientTransaction] = field(default_factory=list)
+    offered: tuple[IncipientTransaction, ...] = ()
 
-    def clone(self) -> "_Walk":
-        return _Walk(
-            self.time, dict(self.present), self.draws, self.prob, list(self.events), list(self.offered)
-        )
+    def add(self, *events: LedgerEvent) -> None:
+        self.fresh += events
+        self.audit.fold(events)
+
+    def join(self, view: Record, notable: list[int] | None) -> None:
+        """Go on from a resolution node's failures, ``view``.  A branch that
+        grows on folds each of them; a winner's leaf, which adds only the
+        winner's success after them, folds just the ``notable`` ones in its
+        view (see :meth:`Audit.notable`), on an overlay of the audit it
+        shares with its siblings."""
+        self.record = view
+        if notable is None:
+            self.audit.fold(view.own())
+        else:
+            self.audit = self.audit.fork(overlay=True)
+            shown = notable[: bisect.bisect_left(notable, view.stop)]
+            self.audit.fold(view.items[j] for j in shown if j != view.skip)
+
+    def freeze(self) -> Record | None:
+        """The branch's record so far, as one parent-linked sequence."""
+        if self.fresh:
+            self.record, self.fresh = Record(self.record, tuple(self.fresh)), []
+        return self.record
+
+    def size(self) -> int:
+        return len(self.fresh) + (0 if self.record is None else len(self.record))
+
+    def clone(self, copy: bool) -> "_Walk":
+        """A child walk from this branch's record.  Unless ``copy``, it shares
+        this walk's tables: only the child grown last may change them, and
+        a winner's leaf never does."""
+        present, audit = (dict(self.present), self.audit.fork()) if copy else (self.present, self.audit)
+        return _Walk(self.time, present, audit, self.freeze(), [], self.draws, self.prob, self.offered)
 
 
 class _Builder:
@@ -150,7 +188,6 @@ class _Builder:
         self.bin_channels = spec.bin_channels()
         self.state_channels = set(spec.initial_state.labels)
         self.triggers = tuple(r.trigger for r in spec.rules)
-        self.trigger_refs = {t.absorber for t in self.triggers if isinstance(t, TransactionFailed)}
         self.leaves: list[Leaf] = []
         self.ledger_events = 0
         self.max_draws = 0
@@ -161,19 +198,20 @@ class _Builder:
             not isinstance(t, Always) for t in self.triggers
         ):
             raise StrategyError("strategy requires fixed absorber set")
-        # A frame is (walk, events it records first, winner or None, the
-        # children list its result fills, slot).  Children are pushed last
-        # first, so leaves come out depth first in cut order.
+        # A frame is (walk, (failures it goes on from, notable ones) or None,
+        # winner or None, the children list its result fills, slot).
+        # Children are pushed last first, so leaves come out depth first in
+        # cut order, and the child that may change its parent's tables is
+        # grown after its siblings.
         root = [None]
-        frames = [(self._initial_walk(), (), None, root, 0)]
+        frames = [(self._initial_walk(), None, None, root, 0)]
         while frames:
-            walk, events, winner, children, slot = frames.pop()
-            walk.events += events
+            walk, failures, winner, children, slot = frames.pop()
+            if failures is not None:
+                walk.join(*failures)
             children[slot] = self._grow(walk, frames) if winner is None else self._success(walk, winner)
-        total, cdf = Fraction(0), []
-        for leaf in self.leaves[:-1]:
-            total += Fraction(leaf.probability)
-            cdf.append(float(total))
+        sums = accumulate(exact_units(leaf.probability) for leaf in self.leaves[:-1])
+        cdf = [rounded(total) for total in sums]
         return TrialProgram(root[0], tuple(self.leaves), self.max_draws, tuple(cdf))
 
     def _check_times(self) -> None:
@@ -204,7 +242,10 @@ class _Builder:
                 raise ValueError(f"two absorbers on channel {a.channel!r} simultaneously present")
             occupied.add(a.channel)
             present[a.id] = (a.channel, a.position)
-        return _Walk(self.spec.emission.t, present)
+        # A screen bin's confirmation takes up the whole emitted state.
+        state = self.spec.initial_state
+        shares = {ch: abs(a) ** 2 for ch, a in zip(state.labels, state.amps)}
+        return _Walk(self.spec.emission.t, present, Audit(self.triggers, shares, self.bin_channels))
 
     # -- event-by-event growth ------------------------------------------
 
@@ -213,14 +254,13 @@ class _Builder:
         on the branch, or None when it has run its course.  A rule is due
         once its trigger is on the branch's record and it has not fired: each
         fired rule leaves one apparatus event carrying its index."""
-        rules = self.spec.rules
+        rules, audit = self.spec.rules, walk.audit
         candidates = []
-        if self.spec.coin is not None and _coin_face(walk.events) is None:
+        if self.spec.coin is not None and audit.coin is None:
             candidates.append((self.spec.coin.flip_time, _COIN, []))
-        fired = {e.rule_index for e in walk.events if e.rule_index is not None}
         due = [
             i for i, rule in enumerate(rules)
-            if i not in fired and trigger_satisfied(rule.trigger, walk.events)
+            if i not in audit.fired and audit.satisfied(rule.trigger)
         ]
         if due:
             at = min(rules[i].time for i in due)
@@ -246,14 +286,19 @@ class _Builder:
                 if residual:
                     raise ValueError("coin weights must sum to 1")
                 walk.time = t
-                faces = [([LedgerEvent(EventKind.COIN, t, label=label)], None) for label in coin.labels]
+                faces = []
+                for i, label in enumerate(coin.labels):
+                    face = walk.clone(copy=i < len(coin.labels) - 1)
+                    face.add(LedgerEvent(EventKind.COIN, t, label=label))
+                    faces.append((face, None, None))
                 return self._split(walk, points, faces, frames)
             if kind == _ACTIONS:
                 self._apply_actions_at(walk, t, due)
-            elif (txs := self._absorb_event(walk, t)) and sequential:
-                # Every candidate offered before these has failed on this branch.
-                burned = math.fsum(tx.weight for tx in walk.offered[: -len(txs)])
-                return self._resolve(walk, cuts(self.strategy, txs, burned), frames)
+                continue
+            # Every candidate offered before these has failed on this branch.
+            burned = walk.audit.offered
+            if (txs := self._absorb_event(walk, t)) and sequential:
+                return self._resolve(walk, cuts(self.strategy, txs, rounded(burned)), frames)
         if sequential:
             return self._leaf(walk, NO_OUTCOME, terminal=EventKind.NO_TRANSACTION)
         split = cuts(self.strategy, walk.offered, tie_break=self.tie_break)
@@ -261,17 +306,17 @@ class _Builder:
             return self._leaf(walk, DEGENERATE, terminal=EventKind.DEGENERATE)
         return self._resolve(walk, split, frames)
 
-    def _split(self, walk: _Walk, points: tuple[float, ...], outcomes: list, frames: list) -> Node:
-        """A node splitting [0, 1) at ``points``.  Outcome i is (events,
-        winner or None): its frame grows from a copy of ``walk`` weighted by
-        the width of slice i, which records those events first."""
-        node = Node(walk.draws, points, [None] * len(outcomes))
+    def _split(self, walk: _Walk, points: tuple[float, ...], branches: list, frames: list) -> Node:
+        """A node splitting [0, 1) at ``points``.  Branch i is (child walk,
+        failures or None, winner or None): its frame grows the child,
+        weighted by the width of slice i."""
+        node = Node(walk.draws, points, [None] * len(branches))
         bounds = (0.0,) + points + (1.0,)
-        for i in reversed(range(len(outcomes))):
-            child = walk.clone()
+        for i in reversed(range(len(branches))):
+            child, failures, winner = branches[i]
             child.draws = walk.draws + 1
             child.prob = walk.prob * (bounds[i + 1] - bounds[i])
-            frames.append((child, *outcomes[i], node.children, i))
+            frames.append((child, failures, winner, node.children, i))
         return node
 
     def _resolve(self, walk: _Walk, split: tuple, frames: list) -> Node | Leaf:
@@ -281,28 +326,27 @@ class _Builder:
         if len(ordered) == 1 and not residual:
             return self._success(walk, ordered[0])
         hierarchy = self.strategy is ResolutionStrategy.HIERARCHY
-        # Each child copies this branch's record, and winner i's leaf adds
-        # its losers' failures and its success: refuse the tree now if those
-        # alone would break the bound.
+        # Each child's ledger holds this branch's record, and winner i's
+        # leaf adds its losers' failures and its success: refuse the tree
+        # now if those alone would break the bound.
         n = len(ordered)
         failures = n * (n - 1) // 2 if hierarchy else n * (n - 1)
-        self._check_size(
-            self.ledger_events + (n + bool(residual)) * len(walk.events) + failures + n
-        )
+        self._check_size(self.ledger_events + (n + bool(residual)) * walk.size() + failures + n)
 
-        # One failure event per candidate, shared by every child that records
-        # it.  The hierarchy walk stops at its winner, so only nearer
-        # candidates were tried and failed.
-        fails = [
+        # One failure event per candidate, stored once for every child: the
+        # hierarchy walk stops at its winner, so only nearer candidates were
+        # tried and failed, and any other winner's record skips its own.
+        fails = tuple(
             LedgerEvent(EventKind.FAILURE, tx.absorbed_at.t, absorber=tx.absorber, channel=tx.channel)
             for tx in ordered
-        ]
-        outcomes = [
-            (fails[:i] if hierarchy else fails[:i] + fails[i + 1:], tx) for i, tx in enumerate(ordered)
-        ]
+        )
+        notable = walk.audit.notable(fails)
+        prefix = walk.freeze()
+        views = [Record(prefix, fails, stop=i) if hierarchy else Record(prefix, fails, skip=i) for i in range(n)]
+        branches = [(walk.clone(copy=False), (view, notable), tx) for view, tx in zip(views, ordered)]
         if residual:
-            outcomes.append((fails, None))
-        return self._split(walk, points, outcomes, frames)
+            branches.append((walk.clone(copy=False), (Record(prefix, fails), None), None))
+        return self._split(walk, points, branches, frames)
 
     def _apply_actions_at(self, walk: _Walk, t: float, due: list[int]) -> None:
         """Fire the due rules, in rule-index order, at time ``t``."""
@@ -311,7 +355,7 @@ class _Builder:
             if isinstance(action, xp.RemoveScreen):
                 for aid in [a for a, (ch, _) in walk.present.items() if ch in self.bin_channels]:
                     del walk.present[aid]
-                walk.events.append(LedgerEvent(EventKind.REMOVE_SCREEN, t, rule_index=ridx))
+                walk.add(LedgerEvent(EventKind.REMOVE_SCREEN, t, rule_index=ridx))
                 continue
             if isinstance(action, xp.PlaceAbsorber):
                 if any(ch == action.channel for ch, _ in walk.present.values()):
@@ -322,20 +366,14 @@ class _Builder:
                     del walk.present[old]
                 aid, kind = action.new_absorber, EventKind.DIVERT
             walk.present[aid] = (action.channel, action.position)
-            walk.events.append(
-                LedgerEvent(kind, t, absorber=aid, channel=action.channel, rule_index=ridx)
-            )
+            walk.add(LedgerEvent(kind, t, absorber=aid, channel=action.channel, rule_index=ridx))
         walk.time = t
-
-    def _spent(self, events: Sequence[LedgerEvent]) -> set[str]:
-        """Channels whose component was taken up on the branch: those that
-        confirmed, or every channel of the emitted state once a bin has."""
-        spent = {e.channel for e in events if e.kind is EventKind.CW}
-        return self.state_channels if spent & self.bin_channels else spent
 
     def _absorb_event(self, walk: _Walk, t: float) -> list[IncipientTransaction]:
         """Confirmation waves for every live absorber whose time has come."""
-        spent = self._spent(walk.events)
+        # Channels whose component was taken up on the branch: those that
+        # confirmed, or every channel of the emitted state once a bin has.
+        spent = self.state_channels if walk.audit.untaken is None else walk.audit.channels
         responding = []
         for aid, (ch, pos) in list(walk.present.items()):
             if pos.t != t:
@@ -350,16 +388,16 @@ class _Builder:
         if screen_event and any(ch not in self.bin_channels for _, ch, _pos in responding):
             raise ValueError("screen and direct absorbers share an absorption event")
         txs = xp.answer(self.spec, responding)
-        for tx in txs:
-            walk.events.append(
-                LedgerEvent(EventKind.CW, t, absorber=tx.absorber, channel=tx.channel, weight=tx.weight)
-            )
-        walk.offered.extend(txs)
+        walk.add(*[
+            LedgerEvent(EventKind.CW, t, absorber=tx.absorber, channel=tx.channel, weight=tx.weight)
+            for tx in txs
+        ])
+        walk.offered += tuple(txs)
         walk.time = t
         return txs
 
     def _success(self, walk: _Walk, winner: IncipientTransaction) -> Leaf:
-        walk.events.append(
+        walk.add(
             LedgerEvent(EventKind.SUCCESS, winner.absorbed_at.t, absorber=winner.absorber,
                         channel=winner.channel, weight=winner.weight)
         )
@@ -367,35 +405,26 @@ class _Builder:
 
     def _leaf(self, walk: _Walk, outcome: str, terminal: EventKind | None = None) -> Leaf:
         if terminal is not None:
-            walk.events.append(LedgerEvent(terminal, walk.time))
-        events = tuple(walk.events)
+            walk.add(LedgerEvent(terminal, walk.time))
+        events, audit = walk.freeze(), walk.audit
         self.ledger_events += len(events)
         self._check_size(self.ledger_events)
-        ledger = TrialLedger(events, emitter_label(tx.absorber for tx in walk.offered), outcome)
-        spent = self._spent(events)
-        state = self.spec.initial_state
-        unoffered = math.fsum(abs(a) ** 2 for ch, a in zip(state.labels, state.amps) if ch not in spent)
+        events.audit = audit.close()
+        ledger = TrialLedger(events, audit.label, outcome)
+        offered, unoffered = audit.weights
         leaf = Leaf(
             index=len(self.leaves),
             outcome=outcome,
-            coin_outcome=_coin_face(events),
+            coin_outcome=audit.coin,
             ledger=ledger,
-            conditions=self._conditions(events),
-            weight_sum_error=abs(math.fsum(tx.weight for tx in walk.offered) + unoffered - 1.0),
+            conditions=audit.conditions,
+            weight_sum_error=abs(offered + unoffered - 1.0),
             violations=tuple(check_bilking(ledger, self.triggers)),
             probability=walk.prob,
         )
         self.leaves.append(leaf)
         self.max_draws = max(self.max_draws, walk.draws)
         return leaf
-
-    def _conditions(self, events: Sequence[LedgerEvent]) -> tuple[str, ...]:
-        """The coin's face and the resolutions of trigger-named absorbers, in ledger order."""
-        return tuple(
-            f"coin:{e.label}" if e.kind is EventKind.COIN else f"{_RESOLVED[e.kind]}:{e.absorber}"
-            for e in events
-            if e.kind is EventKind.COIN or (e.kind in _RESOLVED and e.absorber in self.trigger_refs)
-        )
 
     @staticmethod
     def _check_size(ledger_events: int) -> None:

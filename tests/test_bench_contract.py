@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tqsim import ResolutionStrategy, dce_spec, experiments, maudlin_spec, montecarlo, program
+from test_cli import chain_doc
+from tqsim import ResolutionStrategy, dce_spec, experiments, load_spec, maudlin_spec, montecarlo, program
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -132,19 +133,34 @@ def test_every_chunk_runs_through_the_module_globals(monkeypatch):
     assert sorted(seen) == ["classify_counts"] * 3 + ["trial_uniforms"] * 3
 
 
+def count_nodes(root) -> int:
+    """Nodes and leaves of a tree, counted on a stack: a deep chain's tree
+    is deeper than the interpreter's recursion limit."""
+    count, stack = 0, [root]
+    while stack:
+        count += 1
+        stack.extend(getattr(stack.pop(), "children", ()))
+    return count
+
+
 def test_compiled_program_exposes_what_the_benchmark_reads():
     # Traced runs report leaves, nodes, draws and ledger events per program,
     # read off these attributes; dce-coinflip has a coin node over a 201-way
     # screen split.
     compiled = program.compile_program(dce_spec("coinflip"), "sequential", True)
-
-    def count_nodes(node):
-        return 1 + sum(count_nodes(child) for child in getattr(node, "children", ()))
-
     assert isinstance(compiled.root, program.Node)
     assert all(isinstance(leaf, program.Leaf) for leaf in compiled.leaves)
     assert (len(compiled.leaves), count_nodes(compiled.root), compiled.draws) == (203, 206, 2)
     assert sum(len(leaf.ledger.events) for leaf in compiled.leaves) == 81015
+
+
+def test_a_deep_chain_is_counted_without_recursion():
+    # One node per round but the last, whose one candidate takes the mass
+    # left, and a leaf per round: leaf k holds k + 1 confirmations, k
+    # failures and a success.
+    compiled = program.compile_program.__wrapped__(load_spec(json.dumps(chain_doc(1000))), "sequential")
+    assert (len(compiled.leaves), count_nodes(compiled.root), compiled.draws) == (1000, 1999, 999)
+    assert sum(len(leaf.ledger.events) for leaf in compiled.leaves) == 1_001_000
 
 
 def test_bulk_fringe_trees_hold_the_traced_ledger_event_count():

@@ -222,11 +222,12 @@ def leaf_digest(program, spec) -> str:
     h = hashlib.sha256()
     bins = spec.screen.bin_labels() if spec.screen else ()
     for leaf in program.leaves:
-        # The ledger field by field, so its repr does not depend on the
-        # emitter state's type; the leaf's screen bin (None off the screen)
-        # rendered from the spec, where the records once stored it.
+        # The ledger field by field, its events as a tuple, so the repr
+        # depends on neither the emitter state's nor the event sequence's
+        # type; the leaf's screen bin (None off the screen) rendered from the
+        # spec, where the records once stored it.
         record = (
-            leaf.index, leaf.outcome, leaf.coin_outcome, leaf.ledger.events,
+            leaf.index, leaf.outcome, leaf.coin_outcome, tuple(leaf.ledger.events),
             leaf.ledger.emitter_state, leaf.ledger.final_outcome, leaf.conditions,
             bins.index(leaf.outcome) if leaf.outcome in bins else None,
             leaf.weight_sum_error.hex(), leaf.violations, leaf.probability.hex(),

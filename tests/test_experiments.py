@@ -623,6 +623,28 @@ def test_load_outcomes_of_every_single_mutation_are_pinned():
     assert h.hexdigest() == LOAD_CORPUS_SHA256
 
 
+# sha256 over validate_spec's problems, joined by "; ", one line per mutant of
+# the corpus above that loads unvalidated (241 of them), in corpus order.
+# Recorded before validate_spec and the tree builder came to share each check.
+VALIDATE_CORPUS_SHA256 = "820c67bb8a0f871a93023f2fa3fb15bb52de41b6f7d34d6332c106a32e738636"
+
+
+def test_validate_outcomes_of_every_loading_mutant_are_pinned():
+    h, loaded = hashlib.sha256(), 0
+    for name in ("maudlin", "miller", "dce-coinflip"):
+        doc = spec_to_document(builtin_spec(name))
+        skip = _middle_absorber if name == "dce-coinflip" else lambda path, parent: False
+        for mutant in _single_mutations(doc, skip):
+            try:
+                spec = load_spec(mutant, validate=False)
+            except SpecError:
+                continue
+            loaded += 1
+            h.update(("; ".join(validate_spec(spec)) + "\n").encode())
+    assert loaded == 241
+    assert h.hexdigest() == VALIDATE_CORPUS_SHA256
+
+
 # dce-keep and dce-coinflip are left out: each takes 0.14-0.21 s to validate.
 _FUZZ_DOCS = {name: spec_to_document(builtin_spec(name)) for name in ("maudlin", "miller", "dce-remove")}
 _json_values = st.recursive(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
 from types import SimpleNamespace
@@ -595,6 +596,44 @@ def spec_to_document(spec: ExperimentSpec) -> dict[str, Any]:
 
 
 # -- validation ---------------------------------------------------------------
+# The tree builder (program.py) runs the *_problems checks too.
+
+
+def occupancy_problems(spec: ExperimentSpec) -> list[str]:
+    present = Counter(a.channel for a in spec.absorbers if a.initially_present)
+    return [f"two absorbers on channel {ch!r} simultaneously present" for ch, n in present.items() if n > 1]
+
+
+def located_points(spec: ExperimentSpec) -> list[tuple[str, SpacetimePoint]]:
+    """Each absorber's and each placing rule's absorption point, with the
+    name a problem locates it by."""
+    points = [(f"absorber {a.id!r}", a.position) for a in spec.absorbers]
+    points += [(f"rule {i} placement", r.action.position) for i, r in enumerate(spec.rules)
+               if not isinstance(r.action, RemoveScreen)]
+    return points
+
+
+def interval_problems(spec: ExperimentSpec) -> list[str]:
+    # A NaN or infinite squared interval would rank its candidate anywhere
+    # under hierarchy.  A non-finite time is refused on its own, at compile.
+    return [
+        f"{where}: squared interval from the emission is not finite"
+        for where, at in located_points(spec)
+        if math.isfinite(at.t) and at.t > spec.emission.t
+        and not math.isfinite(spacetime_interval2(spec.emission, at))
+    ]
+
+
+def coin_problems(coin: CoinConfig) -> list[str]:
+    """The coin's shape: labels, and weights that form a law over them."""
+    problems = []
+    if len(coin.labels) < 2 or len(set(coin.labels)) != len(coin.labels):
+        problems.append("coin needs at least two distinct labels")
+    if len(coin.weights) != len(coin.labels):
+        problems.append("coin weights and labels differ in length")
+    elif not all(0 <= w < math.inf for w in coin.weights) or abs(math.fsum(coin.weights) - 1.0) > 1e-12:
+        problems.append("coin weights must be non-negative and sum to 1")
+    return problems
 
 
 def validate_spec(spec: ExperimentSpec) -> list[str]:
@@ -626,13 +665,8 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
         if a.position.t <= spec.emission.t:
             problems.append(f"absorber {a.id!r} absorbs before emission")
 
-    per_channel: dict[str, list[str]] = {}
-    for a in spec.absorbers:
-        if a.initially_present:
-            per_channel.setdefault(a.channel, []).append(a.id)
-    for channel, present in per_channel.items():
-        if len(present) > 1:
-            problems.append(f"two absorbers on channel {channel!r} simultaneously present")
+    problems += occupancy_problems(spec)
+    occupied = {a.channel for a in spec.absorbers if a.initially_present}
 
     screen_time = None
     if spec.screen is not None:
@@ -696,11 +730,11 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             if aid in placed_positions and placed_positions[aid] != (action.channel, action.position):
                 problems.append(f"rules place absorber {aid!r} at conflicting positions")
             placed_positions[aid] = (action.channel, action.position)
-            if isinstance(action, PlaceAbsorber) and action.channel in per_channel:
+            if isinstance(action, PlaceAbsorber) and action.channel in occupied:
                 problems.append(
                     f"rule {i} places {aid!r} on channel {action.channel!r} that already has an absorber"
                 )
-            elif isinstance(action, DivertChannel) and action.channel not in per_channel:
+            elif isinstance(action, DivertChannel) and action.channel not in occupied:
                 problems.append(f"rule {i} diverts channel {action.channel!r} with no absorber")
             if screen_time is not None and action.position.t <= screen_time:
                 problems.append(
@@ -709,15 +743,7 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
         elif spec.screen is None:
             problems.append(f"rule {i} removes a screen but none is configured")
 
-    # A NaN or infinite squared interval would rank its candidate anywhere
-    # under hierarchy.  A non-finite time is refused on its own, at compile.
-    points = [(f"absorber {a.id!r}", a.position) for a in spec.absorbers]
-    points += [(f"rule {i} placement", r.action.position) for i, r in enumerate(spec.rules)
-               if not isinstance(r.action, RemoveScreen)]
-    for where, at in points:
-        timed = math.isfinite(at.t) and at.t > spec.emission.t
-        if timed and not math.isfinite(spacetime_interval2(spec.emission, at)):
-            problems.append(f"{where}: squared interval from the emission is not finite")
+    problems += interval_problems(spec)
 
     if spec.screen is not None and screen_time is not None:
         for a in spec.absorbers:
@@ -727,14 +753,8 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
                 )
 
     if spec.coin is not None:
-        coin = spec.coin
-        if len(coin.labels) < 2 or len(set(coin.labels)) != len(coin.labels):
-            problems.append("coin needs at least two distinct labels")
-        if len(coin.weights) != len(coin.labels):
-            problems.append("coin weights and labels differ in length")
-        elif not all(0 <= w < math.inf for w in coin.weights) or abs(math.fsum(coin.weights) - 1.0) > 1e-12:
-            problems.append("coin weights must be non-negative and sum to 1")
-        if coin.flip_time <= spec.emission.t:
+        problems += coin_problems(spec.coin)
+        if spec.coin.flip_time <= spec.emission.t:
             problems.append("coin flips before emission")
 
     if problems:

@@ -169,9 +169,6 @@ class _Walk:
             self.record, self.fresh = Record(self.record, tuple(self.fresh)), []
         return self.record
 
-    def size(self) -> int:
-        return len(self.fresh) + (0 if self.record is None else len(self.record))
-
     def clone(self, copy: bool) -> "_Walk":
         """A child walk from this branch's record.  Unless ``copy``, it shares
         this walk's tables: only the child grown last may change them, and
@@ -193,7 +190,7 @@ class _Builder:
         self.max_draws = 0
 
     def build(self) -> TrialProgram:
-        self._check_times()
+        self._check_spec()
         if self.strategy is not ResolutionStrategy.SEQUENTIAL and any(
             not isinstance(t, Always) for t in self.triggers
         ):
@@ -214,34 +211,30 @@ class _Builder:
         cdf = [rounded(total) for total in sums]
         return TrialProgram(root[0], tuple(self.leaves), self.max_draws, tuple(cdf))
 
-    def _check_times(self) -> None:
+    def _check_spec(self) -> None:
         """Refuse a non-finite time: events are matched by exact time, so an
-        event at NaN would never be consumed and the walk would never end."""
+        event at NaN would never be consumed and the walk would never end.
+        Then refuse a spec built in Python, which may skip validate_spec, with
+        the first problem of the checks the two share."""
         spec = self.spec
         times = [("emission", spec.emission.t)]
-        times += [(f"absorber {a.id!r}", a.position.t) for a in spec.absorbers]
+        times += [(where, at.t) for where, at in xp.located_points(spec)]
         for i, rule in enumerate(spec.rules):
             times.append((f"rule {i}", rule.time))
             if isinstance(rule.trigger, TransactionFailed):
                 times.append((f"rule {i} trigger", rule.trigger.time))
-            if not isinstance(rule.action, xp.RemoveScreen):
-                times.append((f"rule {i} placement", rule.action.position.t))
         if spec.coin is not None:
             times.append(("coin", spec.coin.flip_time))
         for where, t in times:
             if not math.isfinite(t):
                 raise ValueError(f"{where}: time must be a finite number")
+        problems = xp.occupancy_problems(spec) + xp.interval_problems(spec)
+        problems += xp.coin_problems(spec.coin) if spec.coin else []
+        if problems:
+            raise ValueError(problems[0])
 
     def _initial_walk(self) -> _Walk:
-        present: dict[str, tuple[str, SpacetimePoint]] = {}
-        occupied: set[str] = set()
-        for a in self.spec.absorbers:
-            if not a.initially_present:
-                continue
-            if a.channel in occupied:
-                raise ValueError(f"two absorbers on channel {a.channel!r} simultaneously present")
-            occupied.add(a.channel)
-            present[a.id] = (a.channel, a.position)
+        present = {a.id: (a.channel, a.position) for a in self.spec.absorbers if a.initially_present}
         # A screen bin's confirmation takes up the whole emitted state.
         state = self.spec.initial_state
         shares = {ch: abs(a) ** 2 for ch, a in zip(state.labels, state.amps)}
@@ -280,11 +273,7 @@ class _Builder:
             t, kind, due = event
             if kind == _COIN:
                 coin = self.spec.coin
-                if not all(map(math.isfinite, coin.weights)):
-                    raise ValueError("coin weights must be finite numbers")
-                points, residual = split_unit(coin.weights)
-                if residual:
-                    raise ValueError("coin weights must sum to 1")
+                points, _ = split_unit(coin.weights)  # checked to sum to 1: no residual
                 walk.time = t
                 faces = []
                 for i, label in enumerate(coin.labels):
@@ -325,14 +314,7 @@ class _Builder:
         ordered, points, residual = split
         if len(ordered) == 1 and not residual:
             return self._success(walk, ordered[0])
-        hierarchy = self.strategy is ResolutionStrategy.HIERARCHY
-        # Each child's ledger holds this branch's record, and winner i's
-        # leaf adds its losers' failures and its success: refuse the tree
-        # now if those alone would break the bound.
-        n = len(ordered)
-        failures = n * (n - 1) // 2 if hierarchy else n * (n - 1)
-        self._check_size(self.ledger_events + (n + bool(residual)) * walk.size() + failures + n)
-
+        hierarchy, n = self.strategy is ResolutionStrategy.HIERARCHY, len(ordered)
         # One failure event per candidate, stored once for every child: the
         # hierarchy walk stops at its winner, so only nearer candidates were
         # tried and failed, and any other winner's record skips its own.
@@ -408,7 +390,11 @@ class _Builder:
             walk.add(LedgerEvent(terminal, walk.time))
         events, audit = walk.freeze(), walk.audit
         self.ledger_events += len(events)
-        self._check_size(self.ledger_events)
+        if self.ledger_events > MAX_LEDGER_EVENTS:
+            raise ValueError(
+                f"tree too large: its leaves would hold more than {MAX_LEDGER_EVENTS}"
+                " ledger events (MAX_LEDGER_EVENTS)"
+            )
         events.audit = audit.close()
         ledger = TrialLedger(events, audit.label, outcome)
         offered, unoffered = audit.weights
@@ -425,14 +411,6 @@ class _Builder:
         self.leaves.append(leaf)
         self.max_draws = max(self.max_draws, walk.draws)
         return leaf
-
-    @staticmethod
-    def _check_size(ledger_events: int) -> None:
-        if ledger_events > MAX_LEDGER_EVENTS:
-            raise ValueError(
-                f"tree too large: its leaves would hold more than {MAX_LEDGER_EVENTS}"
-                " ledger events (MAX_LEDGER_EVENTS)"
-            )
 
 
 def _build(

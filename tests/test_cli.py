@@ -213,8 +213,8 @@ def test_validate_accepts_a_deep_chain(tmp_path, rounds):
 
 
 def test_validate_refuses_a_wide_round_at_once(tmp_path):
-    # 40 000 candidates in one round: the size forecast refuses the tree
-    # before any leaf is built, and nothing before it is quadratic.
+    # 40 000 candidates in one round: the leaf-by-leaf count refuses the
+    # tree within its first leaves, and nothing before it is quadratic.
     proc = run_bounded(["validate", write_doc(tmp_path, chain_doc(40_000, t=1.0))], timeout=20)
     assert proc.returncode == 1
     assert proc.stderr == (
@@ -274,8 +274,8 @@ def test_a_deep_chain_runs_in_seconds(tmp_path):
 
 
 def test_validate_refuses_a_screen_too_wide_to_compile(tmp_path):
-    # Each of the 1601 bin leaves would copy 1601 confirmations and record
-    # 1600 failures: about 5M ledger events, refused before any leaf is built.
+    # Each of the 1601 bin leaves would read 1601 confirmations and 1600
+    # failures: about 5M ledger events, refused by the leaf-by-leaf count.
     proc = run_bounded(["validate", write_doc(tmp_path, wide_screen_doc(1601))])
     assert proc.returncode == 1
     assert proc.stderr == (
@@ -287,9 +287,9 @@ def test_validate_refuses_a_screen_too_wide_to_compile(tmp_path):
 @pytest.mark.parametrize("experiment", ["maudlin", "dce-keep"])
 @pytest.mark.parametrize("slack,expected", [(0, 0), (-1, 1)])
 def test_tree_size_bound_is_exact(monkeypatch, capsys, experiment, slack, expected):
-    # maudlin's residual branch outgrows the estimate made at its root, so
-    # the leaf-by-leaf count refuses it; dce-keep's 201-way split is refused
-    # up front.
+    # The leaf-by-leaf count refuses each tree at the leaf that takes it
+    # past the bound: maudlin's at its residual branch, dce-keep's within
+    # its 201-way split.
     spec = tqsim.builtin_spec(experiment)
     total = sum(
         len(leaf.ledger.events)

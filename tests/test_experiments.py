@@ -837,7 +837,7 @@ def test_validate_coin_problems():
 def test_unvalidated_short_coin_is_refused_at_compile():
     flip = dce_spec("coinflip")
     short = replace(flip, coin=replace(flip.coin, weights=(0.5, 0.3)))
-    with pytest.raises(ValueError, match="^coin weights must sum to 1$"):
+    with pytest.raises(ValueError, match="^coin weights must be non-negative and sum to 1$"):
         compile_program(short, "sequential").run(FakeRng([0.9, 0.5]))
 
 
@@ -846,7 +846,7 @@ def test_non_finite_coin_weight_is_refused(weights):
     flip = dce_spec("coinflip")
     bad = replace(flip, coin=replace(flip.coin, weights=weights))
     assert "coin weights must be non-negative and sum to 1" in validate_spec(bad)
-    with pytest.raises(ValueError, match="^coin weights must be finite numbers$"):
+    with pytest.raises(ValueError, match="^coin weights must be non-negative and sum to 1$"):
         compile_program.__wrapped__(bad, "sequential")
 
 
@@ -1123,3 +1123,53 @@ def test_builder_refuses_python_built_spec(message):
     spec = _builder_refusals()[message]
     with pytest.raises(ValueError, match=f"^{message}$"):
         compile_program(spec, "sequential")
+
+
+def _shared_refusals():
+    """Python-built specs breaking a rule validate_spec and the tree builder
+    share: (strategy, spec, validate_spec's first problem)."""
+    flip, m = dce_spec("coinflip"), maudlin_spec()
+    far = replace(m.absorbers[0], position=SpacetimePoint(1e200, 1e200))
+    return {
+        "coin-weights-past-labels": (
+            "sequential", replace(flip, coin=replace(flip.coin, weights=(0.25, 0.25, 0.5))),
+            "coin weights and labels differ in length",
+        ),
+        "coin-negative-weight": (
+            "sequential", replace(flip, coin=replace(flip.coin, weights=(-0.5, 1.5))),
+            "coin weights must be non-negative and sum to 1",
+        ),
+        "coin-labels-past-weights": (
+            "sequential", replace(flip, coin=replace(flip.coin, labels=("up", "down", "edge"))),
+            "coin weights and labels differ in length",
+        ),
+        "coin-duplicate-labels": (
+            "sequential", replace(flip, coin=replace(flip.coin, labels=("up", "up"))),
+            "coin needs at least two distinct labels",
+        ),
+        "coin-one-label": (
+            "sequential", replace(flip, coin=replace(flip.coin, labels=("up",), weights=(1.0,))),
+            "coin needs at least two distinct labels",
+        ),
+        # t and x are finite, but t*t - x*x is inf - inf: a NaN the
+        # hierarchy sort would rank anywhere.
+        "nan-interval": (
+            "hierarchy", replace(m, rules=(), absorbers=(far, replace(m.absorbers[1], initially_present=True))),
+            "absorber 'A': squared interval from the emission is not finite",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_shared_refusals()))
+def test_builder_refuses_with_validates_first_problem(case):
+    strategy, spec, message = _shared_refusals()[case]
+    assert validate_spec(spec)[0] == message
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        compile_program.__wrapped__(spec, strategy)
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_builtin_leaves_are_non_negative_and_sum_to_one(name):
+    leaves = compile_program(builtin_spec(name), "sequential").leaves
+    assert all(leaf.probability >= 0 for leaf in leaves)
+    assert math.fsum(leaf.probability for leaf in leaves) == pytest.approx(1.0, abs=1e-12)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,12 +115,16 @@ def run_experiment(spec: ExperimentSpec, config: RunConfig) -> tuple[FrequencyTa
         return classify_counts(program, trial_uniforms(config.seed, *span, 1))
 
     # More threads than chunks or CPUs only adds overhead.  One worker maps in
-    # this thread, and the pool starts none: a thread per call may get a new
-    # malloc arena, and peak memory would then vary from run to run.
+    # this thread and imports no pool: a thread per call may get a new malloc
+    # arena, and peak memory would then vary from run to run.
     workers = min(config.workers, len(spans), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:  # starts threads on submit only
-        chunk_counts = pool.map(count_chunk, spans) if workers > 1 else map(count_chunk, spans)
-        leaf_counts = np.sum(list(chunk_counts), axis=0)
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # and logging: only a pool needs them
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunk_counts = list(pool.map(count_chunk, spans))
+    else:
+        chunk_counts = map(count_chunk, spans)
+    leaf_counts = np.sum(list(chunk_counts), axis=0)
 
     # Keys come sorted; the tables leave out those no trial reached.
     tally = program.tally(leaf_counts.tolist(), sum)

@@ -124,6 +124,22 @@ def run_bounded(argv, preamble="", timeout=60):
     )
 
 
+def test_one_worker_run_leaves_the_thread_pool_unimported():
+    # concurrent.futures brings logging with it; only a pooled run needs it.
+    code = (
+        "import sys\nfrom tqsim.cli import main\n"
+        "pooled = lambda: sorted({'concurrent.futures', 'logging'} & sys.modules.keys())\n"
+        "print(pooled())\n"
+        "main(['run', '--experiment', 'maudlin', '--trials', '1000', '--seed', '1'])\n"
+        "print(pooled())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tqsim.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+
+
 def test_validate_refuses_transaction_succeeded_trigger(tmp_path, capsys):
     doc = spec_to_document(maudlin_spec())
     doc["rules"][0]["trigger"] = {"kind": "transaction-succeeded", "id": "A", "t": 1.0}

@@ -1,4 +1,5 @@
 """Batched runs: determinism, aggregation, summary statistics, serialization."""
+import concurrent.futures
 import gc
 import itertools
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import FakeRng
+from test_ledger import cascade_spec
 from tqsim import (
     CHUNK_TRIALS,
     EMPIRICAL_SMOOTHING,
@@ -110,6 +112,28 @@ def hand_built_program():
     return TrialProgram(Node(0, cdf, list(leaves)), leaves, 1, cdf)
 
 
+def program_with_cuts(n):
+    """A one-node tree of n + 1 leaves.  From five cuts on, zero-width
+    leaves come first, two in a row in the middle and last, so cut points
+    repeat at 0, mid-way and 1."""
+    widths = [1 + i % 3 for i in range(n + 1)]
+    if n >= 5:
+        for i in (0, n // 2, n // 2 + 1, n):
+            widths[i] = 0
+    total = sum(widths)
+    leaves = tuple(
+        Leaf(i, f"L{i}", None, None, (), 0.0, (), w / total) for i, w in enumerate(widths)
+    )
+    # Exact prefix sums, each rounded once, as the builder makes them.
+    cdf = tuple(c / total for c in itertools.accumulate(widths[:-1]))
+    return TrialProgram(Node(0, cdf, list(leaves)), leaves, 1, cdf)
+
+
+# Cut counts on both sides of classify_counts' choice between comparing
+# and sorting.
+CROSSOVER_CUTS = (0, 1, program.COUNT_CUTS_MAX - 1, program.COUNT_CUTS_MAX, program.COUNT_CUTS_MAX + 1, 70)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -118,8 +142,9 @@ def hand_built_program():
         lambda: compile_program(builtin_spec("miller"), "sequential"),
         lambda: compile_program(dce_spec("keep"), "hierarchy"),
         hand_built_program,
-    ],
-    ids=["dce-keep", "dce-coinflip", "miller", "dce-keep/hierarchy", "hand-built"],
+    ] + [lambda n=n: program_with_cuts(n) for n in CROSSOVER_CUTS],
+    ids=["dce-keep", "dce-coinflip", "miller", "dce-keep/hierarchy", "hand-built"]
+    + [f"{n}-cuts" for n in CROSSOVER_CUTS],
 )
 def test_batched_and_single_trials_land_on_the_same_leaf_at_the_cuts(make):
     program = make()
@@ -132,6 +157,26 @@ def test_batched_and_single_trials_land_on_the_same_leaf_at_the_cuts(make):
     assert counts.dtype == np.int64
     assert counts.tolist() == np.bincount(landed, minlength=len(program.leaves)).tolist()
     assert not any(c for c, leaf in zip(counts, program.leaves) if leaf.probability == 0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: compile_program(maudlin_spec(), "sequential"),
+        lambda: compile_program(cascade_spec(8), "sequential"),
+    ],
+    ids=["maudlin", "cascade-8"],
+)
+def test_classification_of_a_narrow_tree_keeps_row_order(make):
+    # A narrow tree counts by comparison; had it sorted, the rows would move.
+    tree = make()
+    table = trial_uniforms(3, 0, CHUNK_TRIALS, 1)
+    before = table.copy()
+    counts = classify_counts(tree, table)
+    assert np.array_equal(table, before)
+    assert counts.tolist() == np.bincount(
+        np.searchsorted(tree.cdf, before[:, 0], side="right"), minlength=len(tree.leaves)
+    ).tolist()
 
 
 def test_classification_of_an_empty_table():
@@ -228,10 +273,11 @@ def test_pool_never_outnumbers_chunks_or_cpus(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+    # run_experiment imports the pool at call time; one worker starts none.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     n = 2 * CHUNK_TRIALS + 1  # three chunks
     serial, _ = run_experiment(maudlin_spec(), RunConfig(n, 5, workers=1))
-    for cpus, expected in ((8, [3]), (2, [2]), (None, [1])):
+    for cpus, expected in ((8, [3]), (2, [2]), (None, [])):
         sizes.clear()
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda cpus=cpus: cpus)
         table, _ = run_experiment(maudlin_spec(), RunConfig(n, 5, workers=64))

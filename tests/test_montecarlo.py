@@ -159,17 +159,10 @@ def test_batched_and_single_trials_land_on_the_same_leaf_at_the_cuts(make):
     assert not any(c for c, leaf in zip(counts, program.leaves) if leaf.probability == 0.0)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: compile_program(maudlin_spec(), "sequential"),
-        lambda: compile_program(cascade_spec(8), "sequential"),
-    ],
-    ids=["maudlin", "cascade-8"],
-)
-def test_classification_of_a_narrow_tree_keeps_row_order(make):
+@pytest.mark.parametrize("spec", [maudlin_spec(), cascade_spec(8)], ids=["maudlin", "cascade-8"])
+def test_classification_of_a_narrow_tree_keeps_row_order(spec):
     # A narrow tree counts by comparison; had it sorted, the rows would move.
-    tree = make()
+    tree = compile_program(spec, "sequential")
     table = trial_uniforms(3, 0, CHUNK_TRIALS, 1)
     before = table.copy()
     counts = classify_counts(tree, table)

@@ -39,7 +39,11 @@ WHICH_SLIT = "which-slit"
 
 
 class SpecError(ValueError):
-    """An experiment document failed to parse or validate."""
+    """An experiment document failed to parse or validate.  Its arguments
+    are the problems found, and its message is the first."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -596,55 +600,31 @@ def spec_to_document(spec: ExperimentSpec) -> dict[str, Any]:
 
 
 # -- validation ---------------------------------------------------------------
-# The tree builder (program.py) runs the *_problems checks too.
 
 
-def occupancy_problems(spec: ExperimentSpec) -> list[str]:
-    present = Counter(a.channel for a in spec.absorbers if a.initially_present)
-    return [f"two absorbers on channel {ch!r} simultaneously present" for ch, n in present.items() if n > 1]
+def spec_problems(spec: ExperimentSpec) -> list[str]:
+    """Every static consistency check: normalization, channel coverage,
+    duplicate or conflicting placements, screen/bin consistency, the causal
+    order of every rule (no retro-placement), a squared interval that is not
+    finite, and coin labels and weights.  Returns the problems found (empty =
+    ok).  :func:`~tqsim.program.compile_program` refuses a spec with any."""
+    # Events are matched by exact time, so an event at NaN would never be
+    # consumed and the walk would never end; and every check below compares
+    # times.  A spec built in Python may hold one (load_spec refuses it).
+    located = [(f"absorber {a.id!r}", a.position) for a in spec.absorbers]
+    located += [(f"rule {i} placement", r.action.position) for i, r in enumerate(spec.rules)
+                if not isinstance(r.action, RemoveScreen)]
+    times = [("emission", spec.emission.t)] + [(where, at.t) for where, at in located]
+    for i, rule in enumerate(spec.rules):
+        times.append((f"rule {i}", rule.time))
+        if isinstance(rule.trigger, TransactionFailed):
+            times.append((f"rule {i} trigger", rule.trigger.time))
+    if spec.coin is not None:
+        times.append(("coin", spec.coin.flip_time))
+    problems = [f"{where}: time must be a finite number" for where, t in times if not math.isfinite(t)]
+    if problems:
+        return problems
 
-
-def located_points(spec: ExperimentSpec) -> list[tuple[str, SpacetimePoint]]:
-    """Each absorber's and each placing rule's absorption point, with the
-    name a problem locates it by."""
-    points = [(f"absorber {a.id!r}", a.position) for a in spec.absorbers]
-    points += [(f"rule {i} placement", r.action.position) for i, r in enumerate(spec.rules)
-               if not isinstance(r.action, RemoveScreen)]
-    return points
-
-
-def interval_problems(spec: ExperimentSpec) -> list[str]:
-    # A NaN or infinite squared interval would rank its candidate anywhere
-    # under hierarchy.  A non-finite time is refused on its own, at compile.
-    return [
-        f"{where}: squared interval from the emission is not finite"
-        for where, at in located_points(spec)
-        if math.isfinite(at.t) and at.t > spec.emission.t
-        and not math.isfinite(spacetime_interval2(spec.emission, at))
-    ]
-
-
-def coin_problems(coin: CoinConfig) -> list[str]:
-    """The coin's shape: labels, and weights that form a law over them."""
-    problems = []
-    if len(coin.labels) < 2 or len(set(coin.labels)) != len(coin.labels):
-        problems.append("coin needs at least two distinct labels")
-    if len(coin.weights) != len(coin.labels):
-        problems.append("coin weights and labels differ in length")
-    elif not all(0 <= w < math.inf for w in coin.weights) or abs(math.fsum(coin.weights) - 1.0) > 1e-12:
-        problems.append("coin weights must be non-negative and sum to 1")
-    return problems
-
-
-def validate_spec(spec: ExperimentSpec) -> list[str]:
-    """Run every static consistency check; return problem strings (empty = ok).
-
-    Beyond field-level checks this verifies causal ordering of every rule
-    (no retro-placement), coin labels and weights, screen geometry constraints,
-    and that sequential resolution leaves no probability unanswered on any
-    reachable branch.
-    """
-    problems: list[str] = []
     state = spec.initial_state
     if not state.is_normalized(atol=1e-9):
         problems.append("state not normalized")
@@ -665,8 +645,9 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
         if a.position.t <= spec.emission.t:
             problems.append(f"absorber {a.id!r} absorbs before emission")
 
-    problems += occupancy_problems(spec)
-    occupied = {a.channel for a in spec.absorbers if a.initially_present}
+    present = Counter(a.channel for a in spec.absorbers if a.initially_present)
+    problems += [f"two absorbers on channel {ch!r} simultaneously present" for ch, n in present.items() if n > 1]
+    occupied = set(present)
 
     screen_time = None
     if spec.screen is not None:
@@ -743,7 +724,13 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
         elif spec.screen is None:
             problems.append(f"rule {i} removes a screen but none is configured")
 
-    problems += interval_problems(spec)
+    # A NaN or infinite squared interval would rank its candidate anywhere
+    # under hierarchy.
+    problems += [
+        f"{where}: squared interval from the emission is not finite"
+        for where, at in located
+        if at.t > spec.emission.t and not math.isfinite(spacetime_interval2(spec.emission, at))
+    ]
 
     if spec.screen is not None and screen_time is not None:
         for a in spec.absorbers:
@@ -753,29 +740,38 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
                 )
 
     if spec.coin is not None:
-        problems += coin_problems(spec.coin)
-        if spec.coin.flip_time <= spec.emission.t:
+        coin = spec.coin
+        if len(coin.labels) < 2 or len(set(coin.labels)) != len(coin.labels):
+            problems.append("coin needs at least two distinct labels")
+        if len(coin.weights) != len(coin.labels):
+            problems.append("coin weights and labels differ in length")
+        elif not all(0 <= w < math.inf for w in coin.weights) or abs(math.fsum(coin.weights) - 1.0) > 1e-12:
+            problems.append("coin weights must be non-negative and sum to 1")
+        if coin.flip_time <= spec.emission.t:
             problems.append("coin flips before emission")
 
-    if problems:
-        return problems
+    return problems
 
-    # Branch coverage: walk the sequential decision structure and flag any
-    # reachable branch that strands probability with no absorber to claim it.
+
+def validate_spec(spec: ExperimentSpec) -> list[str]:
+    """Every problem of a spec (empty = ok): the static checks of
+    :func:`spec_problems`, then, once they pass, any branch of the
+    sequential tree that leaves probability unanswered, and any refusal
+    only the tree's growth can see."""
     from .program import compile_program  # deferred: this module loads first
 
     try:
         program = compile_program(spec, ResolutionStrategy.SEQUENTIAL, True)
+    except SpecError as e:  # the static checks refused it
+        return list(e.args)
     except ValueError as e:
-        problems.append(str(e))
-    else:
-        for leaf in program.leaves:
-            if leaf.outcome == NO_OUTCOME and leaf.probability > 1e-9:
-                branch = ",".join(leaf.conditions) or "root"
-                problems.append(
-                    f"incomplete coverage on branch [{branch}]: unresolved probability {leaf.probability:.6g}"
-                )
-    return problems
+        return [str(e)]
+    return [
+        f"incomplete coverage on branch [{','.join(leaf.conditions) or 'root'}]:"
+        f" unresolved probability {leaf.probability:.6g}"
+        for leaf in program.leaves
+        if leaf.outcome == NO_OUTCOME and leaf.probability > 1e-9
+    ]
 
 
 # -- answering basis ----------------------------------------------------------

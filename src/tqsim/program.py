@@ -40,7 +40,6 @@ from .engine import (
     ResolutionStrategy,
     SpacetimePoint,
     StrategyError,
-    TransactionFailed,
     TrialLedger,
     check_bilking,
     cuts,
@@ -183,7 +182,8 @@ class _Builder:
         self.strategy = strategy
         self.tie_break = tie_break
         self.bin_channels = spec.bin_channels()
-        # Built at the first screen absorption, so it is refused there, and kept.
+        # Built at the first screen absorption, if any, and kept; the spec
+        # gate has already checked that it builds.
         self.screen_basis = cache(partial(xp.screen_amplitudes, spec.screen, spec.initial_state))
         self.state_channels = set(spec.initial_state.labels)
         self.triggers = tuple(r.trigger for r in spec.rules)
@@ -192,7 +192,6 @@ class _Builder:
         self.max_draws = 0
 
     def build(self) -> TrialProgram:
-        self._check_spec()
         if self.strategy is not ResolutionStrategy.SEQUENTIAL and any(
             not isinstance(t, Always) for t in self.triggers
         ):
@@ -212,28 +211,6 @@ class _Builder:
         sums = accumulate(exact_units(leaf.probability) for leaf in self.leaves[:-1])
         cdf = [rounded(total) for total in sums]
         return TrialProgram(root[0], tuple(self.leaves), self.max_draws, tuple(cdf))
-
-    def _check_spec(self) -> None:
-        """Refuse a non-finite time: events are matched by exact time, so an
-        event at NaN would never be consumed and the walk would never end.
-        Then refuse a spec built in Python, which may skip validate_spec, with
-        the first problem of the checks the two share."""
-        spec = self.spec
-        times = [("emission", spec.emission.t)]
-        times += [(where, at.t) for where, at in xp.located_points(spec)]
-        for i, rule in enumerate(spec.rules):
-            times.append((f"rule {i}", rule.time))
-            if isinstance(rule.trigger, TransactionFailed):
-                times.append((f"rule {i} trigger", rule.trigger.time))
-        if spec.coin is not None:
-            times.append(("coin", spec.coin.flip_time))
-        for where, t in times:
-            if not math.isfinite(t):
-                raise ValueError(f"{where}: time must be a finite number")
-        problems = xp.occupancy_problems(spec) + xp.interval_problems(spec)
-        problems += xp.coin_problems(spec.coin) if spec.coin else []
-        if problems:
-            raise ValueError(problems[0])
 
     def _initial_walk(self) -> _Walk:
         present = {a.id: (a.channel, a.position) for a in self.spec.absorbers if a.initially_present}
@@ -418,6 +395,9 @@ class _Builder:
 def _build(
     spec: xp.ExperimentSpec, strategy: ResolutionStrategy, tie_break: bool = True
 ) -> TrialProgram:
+    # Before the builder, which formats a label per screen bin.
+    if problems := xp.spec_problems(spec):
+        raise xp.SpecError(*problems)
     return _Builder(spec, ResolutionStrategy(strategy), bool(tie_break)).build()
 
 
@@ -431,6 +411,8 @@ def compile_program(
 ) -> TrialProgram:
     """Grow (and cache) the decision tree for one spec/strategy pairing.
 
+    A spec with a problem :func:`~tqsim.experiments.spec_problems` finds is
+    refused with a :class:`~tqsim.experiments.SpecError` naming the first.
     The arguments are normalized before the cache lookup, so every call
     form of the same triple shares one entry and one tree.
     """

@@ -50,7 +50,7 @@ from tqsim import (
     validate_spec,
     visibility,
 )
-from tqsim.experiments import INTERFERENCE, WHICH_SLIT
+from tqsim.experiments import INTERFERENCE, WHICH_SLIT, spec_problems
 from tqsim.program import Leaf, compile_program
 
 ALL_BUILTINS = ("maudlin", "miller", "dce-keep", "dce-remove", "dce-coinflip")
@@ -421,8 +421,8 @@ def test_load_rejects_non_finite_coin_weights():
 
 # Specs built in Python never pass load_spec's finiteness check.  Each case
 # puts a NaN time into one entry; the walk once spun forever on such a time.
-_NAN_TIME_CASES = """
-import json, math
+_NAN_TIME_SPECS = """
+import math
 from dataclasses import replace
 from tqsim import PlaceAbsorber, RunConfig, SpacetimePoint, TransactionFailed
 from tqsim import dce_spec, maudlin_spec, run_experiment, validate_spec
@@ -441,6 +441,9 @@ cases = {
     ),
     "coin": replace(c, coin=replace(c.coin, flip_time=nan)),
 }
+"""
+_NAN_TIME_CASES = _NAN_TIME_SPECS + """
+import json
 out = {}
 for name, spec in cases.items():
     try:
@@ -451,6 +454,12 @@ for name, spec in cases.items():
     out[name] = {"validate": validate_spec(spec), "run": error}
 print(json.dumps(out))
 """
+
+
+def _nan_time_specs():
+    scope = {}
+    exec(_NAN_TIME_SPECS, scope)
+    return scope["cases"]
 
 
 def test_python_built_spec_with_nan_time_is_refused_in_bounded_time():
@@ -477,7 +486,7 @@ def test_python_built_spec_with_nan_time_is_refused_in_bounded_time():
 
 # A rule-heavy spec: n channels, absorber a_k on c_k starts absent and absorbs
 # at t = 2 + k, and an always rule places each one.  The coin flips at
-# emission, so validation stops before compile.
+# emission, so the static checks refuse it before any tree grows.
 _MANY_RULES = """
 import json, sys, time
 from tqsim import (AbsorberConfig, Always, CoinConfig, ContingencyRule, ExperimentSpec,
@@ -629,20 +638,48 @@ def test_load_outcomes_of_every_single_mutation_are_pinned():
 VALIDATE_CORPUS_SHA256 = "820c67bb8a0f871a93023f2fa3fb15bb52de41b6f7d34d6332c106a32e738636"
 
 
-def test_validate_outcomes_of_every_loading_mutant_are_pinned():
-    h, loaded = hashlib.sha256(), 0
+def _loading_mutants():
+    """The specs of the corpus's mutants that load unvalidated, in order."""
     for name in ("maudlin", "miller", "dce-coinflip"):
         doc = spec_to_document(builtin_spec(name))
         skip = _middle_absorber if name == "dce-coinflip" else lambda path, parent: False
         for mutant in _single_mutations(doc, skip):
             try:
-                spec = load_spec(mutant, validate=False)
+                yield load_spec(mutant, validate=False)
             except SpecError:
                 continue
-            loaded += 1
-            h.update(("; ".join(validate_spec(spec)) + "\n").encode())
+
+
+def test_validate_outcomes_of_every_loading_mutant_are_pinned():
+    h, loaded = hashlib.sha256(), 0
+    for spec in _loading_mutants():
+        loaded += 1
+        h.update(("; ".join(validate_spec(spec)) + "\n").encode())
     assert loaded == 241
     assert h.hexdigest() == VALIDATE_CORPUS_SHA256
+
+
+def test_compile_refuses_what_validate_refuses_with_its_first_problem():
+    # One gate: a spec compiles unless validate_spec's static checks refuse
+    # it, or its tree's growth does, and then compile raises the first
+    # problem validate_spec lists.  A spec that compiles can lack only
+    # coverage.  Once, the builder ran a subset of the checks, and 76 of the
+    # loading mutants compiled though validate_spec refused them.
+    specs = list(_loading_mutants())
+    specs += [spec for _, spec, _ in _shared_refusals().values()]
+    specs += _nan_time_specs().values()
+    disagree = []
+    for spec in specs:
+        try:
+            compile_program.__wrapped__(spec, "sequential")
+        except ValueError as e:
+            if str(e) != validate_spec(spec)[0]:
+                disagree.append((str(e), validate_spec(spec)))
+        else:
+            if any(not p.startswith("incomplete coverage") for p in validate_spec(spec)):
+                disagree.append(("compiled", validate_spec(spec)))
+    assert len(specs) == 241 + 6 + 6
+    assert disagree == []
 
 
 # dce-keep and dce-coinflip are left out: each takes 0.14-0.21 s to validate.
@@ -1099,35 +1136,57 @@ def test_single_round_strategies_reject_contingent_specs(name, strategy):
 
 
 def _builder_refusals():
-    m, keep = maudlin_spec(), dce_spec("keep")
+    """Python-built specs that compile refuses, by message: the first breaks
+    a static check, the others pass every one and are refused only as the
+    tree grows."""
+    m, remove = maudlin_spec(), dce_spec("remove")
     a, b = m.absorbers
     c = AbsorberConfig("C", "L", SpacetimePoint(2.5, -1.5), initially_present=False)
     place_c = ContingencyRule(Always(), PlaceAbsorber("C", "L", c.position), 0.5)
-    telescope_at_screen = replace(keep.absorbers[-2], position=SpacetimePoint(2.0, 3.0))
+    # The bins leave at t=1.5; bin000's channel then reaches X along with
+    # the telescopes.
+    divert_bin = ContingencyRule(Always(), DivertChannel("bin000", "X", SpacetimePoint(3.0, 3.0)), 1.75)
     return {
         "two absorbers on channel 'R' simultaneously present": replace(
             m, rules=(), absorbers=(a, replace(b, channel="R", initially_present=True))
         ),
+        # C takes channel L at t=0.5, before A's failure places B there.
         "channel 'L' already has a live absorber": replace(
-            m, absorbers=(a, replace(b, initially_present=True), c), rules=(place_c,)
+            m, absorbers=(a, b, c), rules=m.rules + (place_c,)
         ),
         "screen and direct absorbers share an absorption event": replace(
-            keep, absorbers=keep.absorbers[:-2] + (telescope_at_screen, keep.absorbers[-1])
+            remove, rules=remove.rules + (divert_bin,)
         ),
     }
 
 
 @pytest.mark.parametrize("message", list(_builder_refusals()))
 def test_builder_refuses_python_built_spec(message):
-    # Specs built in Python skip validate_spec; the tree builder still refuses.
+    # Specs built in Python skip validate_spec; compile still refuses them,
+    # with the one problem validate_spec lists.
     spec = _builder_refusals()[message]
+    static = message.startswith("two absorbers")
+    assert spec_problems(spec) == ([message] if static else [])
     with pytest.raises(ValueError, match=f"^{message}$"):
         compile_program(spec, "sequential")
+    assert validate_spec(spec) == [message]
+
+
+def test_a_rule_acting_before_its_trigger_is_refused_at_run():
+    # The paper's case, Maudlin's contingent absorber, placed at t=0.5,
+    # before the failure of A at t=1 that should trigger it.  Run without
+    # validate_spec, it once gave A and B about half the trials each and a
+    # clean report.
+    m = maudlin_spec()
+    early = replace(m, rules=(replace(m.rules[0], time=0.5),))
+    message = "retro-placement: rule 0 acts at t=0.5 not after its trigger at t=1.0"
+    with pytest.raises(SpecError, match=f"^{message}$"):
+        run_experiment(early, RunConfig(20_000, 1))
 
 
 def _shared_refusals():
-    """Python-built specs breaking a rule validate_spec and the tree builder
-    share: (strategy, spec, validate_spec's first problem)."""
+    """Python-built specs that break a static check: (strategy, spec,
+    validate_spec's first problem)."""
     flip, m = dce_spec("coinflip"), maudlin_spec()
     far = replace(m.absorbers[0], position=SpacetimePoint(1e200, 1e200))
     return {

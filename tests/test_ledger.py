@@ -23,6 +23,7 @@ from tqsim import (
     ContingencyRule,
     ExperimentSpec,
     PlaceAbsorber,
+    ResolutionStrategy,
     SpacetimePoint,
     StateVector,
     builtin_spec,
@@ -61,8 +62,9 @@ def cascade_spec(channels=8):
 
 def reused_id_spec():
     """A rule places absorber A again, on the other channel, after A first
-    answered: ``validate_spec`` refuses this layout, but a spec built in
-    Python compiles, and each of its trees resolves A twice on some branch."""
+    answered.  ``compile_program`` refuses this layout, as ``validate_spec``
+    does, so it is grown by the builder itself (:func:`grow`); each of its
+    trees resolves A twice on some branch."""
     at = SpacetimePoint
     return ExperimentSpec(
         name="reused-id",
@@ -74,6 +76,12 @@ def reused_id_spec():
         ),
         rules=(ContingencyRule(Always(), PlaceAbsorber("A", "L", at(2.0, -1.0)), 1.5),),
     )
+
+
+def grow(spec, strategy, tie_break=True):
+    """An uncached tree, grown past the static checks that compile_program
+    runs first, so that a layout they refuse can still be audited."""
+    return program._Builder(spec, ResolutionStrategy(strategy), tie_break).build()
 
 
 def specs():
@@ -102,7 +110,7 @@ def trees():
 @pytest.mark.parametrize("spec,strategy,tie_break", trees())
 def test_each_leaf_is_what_a_flat_read_of_its_record_gives(spec, strategy, tie_break):
     try:
-        compiled = program.compile_program.__wrapped__(spec, strategy, tie_break)
+        compiled = grow(spec, strategy, tie_break)
     except StrategyError:
         pytest.skip("strategy does not admit the spec")
     triggers = tuple(r.trigger for r in spec.rules)
@@ -123,8 +131,10 @@ def test_each_leaf_is_what_a_flat_read_of_its_record_gives(spec, strategy, tie_b
 def test_a_resolution_repeated_within_a_group_is_flagged(strategy):
     # Under the fixed strategies A's two answers compete in one group, so a
     # winner's record holds the failure of the other A.
-    compiled = program.compile_program.__wrapped__(reused_id_spec(), strategy, True)
+    compiled = grow(reused_id_spec(), strategy)
     assert ("duplicate-resolution:A",) in {leaf.violations for leaf in compiled.leaves}
+    with pytest.raises(ValueError, match="^rule 0 re-places absorber 'A' that starts present$"):
+        program.compile_program.__wrapped__(reused_id_spec(), strategy, True)
 
 
 def test_each_leaf_stores_only_its_own_events():

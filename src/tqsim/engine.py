@@ -459,7 +459,8 @@ class Audit:
         one repeats.  A record that goes on with some of these failures and
         then ends with the success of an absorber whose own failure it left
         out need fold only the notable ones: nothing after them looks at the
-        others."""
+        others.  The tree builder checks that premise at each winner's leaf
+        and folds every failure of a view that holds one of its winner's."""
         repeats = len({e.absorber for e in failures}) < len(failures)
         return [
             j for j, e in enumerate(failures)
@@ -470,8 +471,9 @@ class Audit:
     def fork(self, overlay: bool = False) -> "Audit":
         """An audit to fold on apart from this one.  An overlay copies
         nothing: it stacks fresh tables on the ones resolutions write and
-        shares the rest, so it may fold only failures and successes, and
-        this audit must not change while the overlay is in use."""
+        shares the rest, so it may fold only failures and successes, and is
+        closed before this audit folds on (the tree builder closes each
+        winner's leaf before it makes the next)."""
         self.label  # sorts the names, so that the fork shares them and the label
         other = object.__new__(Audit)
         other.__dict__.update(self.__dict__)

@@ -777,19 +777,12 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
 # -- answering basis ----------------------------------------------------------
 
 
-def answer(spec: ExperimentSpec, responders: list[tuple[str, str, SpacetimePoint]], bins=None, screen_basis=None):
-    """Incipient transactions formed by (absorber, channel, absorption point)
-    responders answering together: screen bins answer in the screen basis,
-    anything else its channel of the emitted state.  A responder whose channel
-    the basis lacks (a telescope behind a standing screen) forms none.  A
-    caller answering often passes the spec's ``bins`` and a ``screen_basis``
-    callable that builds the screen basis once."""
-    bins = spec.bin_channels() if bins is None else bins
-    screen_basis = screen_basis or (lambda: screen_amplitudes(spec.screen, spec.initial_state))
-    on_screen = not bins.isdisjoint(ch for _aid, ch, _at in responders)
-    return confirm(spec.emission, screen_basis() if on_screen else spec.initial_state, responders)
-
-
 def initial_transactions(spec: ExperimentSpec):
-    """Incipient transactions the initially present absorbers would form."""
-    return answer(spec, [(a.id, a.channel, a.position) for a in spec.absorbers if a.initially_present])
+    """Incipient transactions the initially present absorbers would form,
+    answering together: screen bins answer in the screen basis, anything
+    else its channel of the emitted state.  A responder whose channel the
+    basis lacks (a telescope behind a standing screen) forms none."""
+    responders = [(a.id, a.channel, a.position) for a in spec.absorbers if a.initially_present]
+    on_screen = not spec.bin_channels().isdisjoint(ch for _aid, ch, _at in responders)
+    basis = screen_amplitudes(spec.screen, spec.initial_state) if on_screen else spec.initial_state
+    return confirm(spec.emission, basis, responders)

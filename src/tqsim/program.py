@@ -14,7 +14,8 @@ adds, a resolution node its candidates' failures once for all its children,
 and a winner's leaf adds only its success.  The audit is a fold
 (:class:`~tqsim.engine.Audit`) carried down the tree with each branch, so a
 node checks only what it adds, and a leaf's verdict, conditions, emitter
-label and weight-sum error are read off the fold where the branch ends.
+label and weight-sum error are read off the fold where the branch ends.  A
+resolution node makes each winner's leaf on its own overlay of that fold.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ from .engine import (
     StrategyError,
     TrialLedger,
     check_bilking,
+    confirm,
     cuts,
     exact_units,
     is_mismatch,
@@ -148,32 +150,17 @@ class _Walk:
         self.fresh += events
         self.audit.fold(events)
 
-    def join(self, view: Record, notable: list[int] | None) -> None:
-        """Go on from a resolution node's failures, ``view``.  A branch that
-        grows on folds each of them; a winner's leaf, which adds only the
-        winner's success after them, folds just the ``notable`` ones in its
-        view (see :meth:`Audit.notable`), on an overlay of the audit it
-        shares with its siblings."""
-        self.record = view
-        if notable is None:
-            self.audit.fold(view.own())
-        else:
-            self.audit = self.audit.fork(overlay=True)
-            shown = notable[: bisect.bisect_left(notable, view.stop)]
-            self.audit.fold(view.items[j] for j in shown if j != view.skip)
-
     def freeze(self) -> Record | None:
         """The branch's record so far, as one parent-linked sequence."""
         if self.fresh:
             self.record, self.fresh = Record(self.record, tuple(self.fresh)), []
         return self.record
 
-    def clone(self, copy: bool) -> "_Walk":
-        """A child walk from this branch's record.  Unless ``copy``, it shares
-        this walk's tables: only the child grown last may change them, and
-        a winner's leaf never does."""
-        present, audit = (dict(self.present), self.audit.fork()) if copy else (self.present, self.audit)
-        return _Walk(self.time, present, audit, self.freeze(), [], self.draws, self.prob, self.offered)
+    def clone(self, prob: float) -> "_Walk":
+        """A child walk of probability ``prob``, one draw deeper, going on
+        from this branch's record with tables of its own."""
+        return _Walk(self.time, dict(self.present), self.audit.fork(), self.freeze(), [],
+                     self.draws + 1, prob, self.offered)
 
 
 class _Builder:
@@ -196,18 +183,14 @@ class _Builder:
             not isinstance(t, Always) for t in self.triggers
         ):
             raise StrategyError("strategy requires fixed absorber set")
-        # A frame is (walk, (failures it goes on from, notable ones) or None,
-        # winner or None, the children list its result fills, slot).
-        # Children are pushed last first, so leaves come out depth first in
-        # cut order, and the child that may change its parent's tables is
-        # grown after its siblings.
+        # A frame is (walk, the children list its result fills, slot): a
+        # branch still to grow.  Frames are pushed last first and a winner's
+        # leaf is made at once, so leaves come out depth first in cut order.
         root = [None]
-        frames = [(self._initial_walk(), None, None, root, 0)]
+        frames = [(self._initial_walk(), root, 0)]
         while frames:
-            walk, failures, winner, children, slot = frames.pop()
-            if failures is not None:
-                walk.join(*failures)
-            children[slot] = self._grow(walk, frames) if winner is None else self._success(walk, winner)
+            walk, children, slot = frames.pop()
+            children[slot] = self._grow(walk, frames)
         sums = accumulate(exact_units(leaf.probability) for leaf in self.leaves[:-1])
         cdf = [rounded(total) for total in sums]
         return TrialProgram(root[0], tuple(self.leaves), self.max_draws, tuple(cdf))
@@ -254,12 +237,12 @@ class _Builder:
                 coin = self.spec.coin
                 points, _ = split_unit(coin.weights)  # checked to sum to 1: no residual
                 walk.time = t
-                faces = []
-                for i, label in enumerate(coin.labels):
-                    face = walk.clone(copy=i < len(coin.labels) - 1)
+                node, probs = _node(walk, points)
+                faces = [walk.clone(prob) for prob in probs]
+                for face, label in zip(faces, coin.labels):
                     face.add(LedgerEvent(EventKind.COIN, t, label=label))
-                    faces.append((face, None, None))
-                return self._split(walk, points, faces, frames)
+                frames.extend(reversed([(face, node.children, i) for i, face in enumerate(faces)]))
+                return node
             if kind == _ACTIONS:
                 self._apply_actions_at(walk, t, due)
                 continue
@@ -274,26 +257,13 @@ class _Builder:
             return self._leaf(walk, DEGENERATE, terminal=EventKind.DEGENERATE)
         return self._resolve(walk, split, frames)
 
-    def _split(self, walk: _Walk, points: tuple[float, ...], branches: list, frames: list) -> Node:
-        """A node splitting [0, 1) at ``points``.  Branch i is (child walk,
-        failures or None, winner or None): its frame grows the child,
-        weighted by the width of slice i."""
-        node = Node(walk.draws, points, [None] * len(branches))
-        bounds = (0.0,) + points + (1.0,)
-        for i in reversed(range(len(branches))):
-            child, failures, winner = branches[i]
-            child.draws = walk.draws + 1
-            child.prob = walk.prob * (bounds[i + 1] - bounds[i])
-            frames.append((child, failures, winner, node.children, i))
-        return node
-
     def _resolve(self, walk: _Walk, split: tuple, frames: list) -> Node | Leaf:
         """Branch on which candidate wins, plus (sequential only) the residual
         branch on which every candidate fails and the walk goes on."""
         ordered, points, residual = split
         if len(ordered) == 1 and not residual:
             return self._success(walk, ordered[0])
-        hierarchy, n = self.strategy is ResolutionStrategy.HIERARCHY, len(ordered)
+        hierarchy = self.strategy is ResolutionStrategy.HIERARCHY
         # One failure event per candidate, stored once for every child: the
         # hierarchy walk stops at its winner, so only nearer candidates were
         # tried and failed, and any other winner's record skips its own.
@@ -302,12 +272,30 @@ class _Builder:
             for tx in ordered
         )
         notable = walk.audit.notable(fails)
+        # Each absorber's failures, by index, to count a winner's own in its view.
+        own = {}
+        for j, e in enumerate(fails):
+            own.setdefault(e.absorber, []).append(j)
         prefix = walk.freeze()
-        views = [Record(prefix, fails, stop=i) if hierarchy else Record(prefix, fails, skip=i) for i in range(n)]
-        branches = [(walk.clone(copy=False), (view, notable), tx) for view, tx in zip(views, ordered)]
+        node, probs = _node(walk, points)
+        for i, tx in enumerate(ordered):
+            view = Record(prefix, fails, stop=i) if hierarchy else Record(prefix, fails, skip=i)
+            # Each overlay is closed before the next is made.  It folds the
+            # notable failures in the view (see Audit.notable), or all of them
+            # if one is the winner's own: its success then reads as a duplicate.
+            won = _Walk(walk.time, {}, walk.audit.fork(overlay=True), view, [], walk.draws + 1, probs[i])
+            skipped = view.skip is not None and fails[view.skip].absorber == tx.absorber
+            if bisect.bisect_left(own[tx.absorber], view.stop) > skipped:
+                won.audit.fold(view.own())
+            else:
+                shown = notable[: bisect.bisect_left(notable, view.stop)]
+                won.audit.fold(fails[j] for j in shown if j != view.skip)
+            node.children[i] = self._success(won, tx)
         if residual:
-            branches.append((walk.clone(copy=False), (Record(prefix, fails), None), None))
-        return self._split(walk, points, branches, frames)
+            walk.record, walk.prob, walk.draws = Record(prefix, fails), probs[-1], walk.draws + 1
+            walk.audit.fold(fails)
+            frames.append((walk, node.children, len(ordered)))
+        return node
 
     def _apply_actions_at(self, walk: _Walk, t: float, due: list[int]) -> None:
         """Fire the due rules, in rule-index order, at time ``t``."""
@@ -348,7 +336,8 @@ class _Builder:
         screen_event = any(ch in self.bin_channels for _, ch, _pos in responding)
         if screen_event and any(ch not in self.bin_channels for _, ch, _pos in responding):
             raise ValueError("screen and direct absorbers share an absorption event")
-        txs = xp.answer(self.spec, responding, self.bin_channels, self.screen_basis)
+        basis = self.screen_basis() if screen_event else self.spec.initial_state
+        txs = confirm(self.spec.emission, basis, responding)
         walk.add(*[
             LedgerEvent(EventKind.CW, t, absorber=tx.absorber, channel=tx.channel, weight=tx.weight)
             for tx in txs
@@ -390,6 +379,14 @@ class _Builder:
         self.leaves.append(leaf)
         self.max_draws = max(self.max_draws, walk.draws)
         return leaf
+
+
+def _node(walk: _Walk, points: tuple[float, ...]) -> tuple[Node, list[float]]:
+    """A node splitting [0, 1) at ``points`` below ``walk``, and each of its
+    slices' probabilities on the branch."""
+    bounds = (0.0, *points, 1.0)
+    node = Node(walk.draws, points, [None] * (len(points) + 1))
+    return node, [walk.prob * (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _build(

@@ -3,8 +3,9 @@
 A compiled leaf's ledger shares its branch's record with its siblings, and
 its verdict, conditions and weight-sum error come from an audit folded down
 the tree.  Here each leaf is checked against a flat read of its whole record
-(``flat_audit.py``), and compile is checked to grow in proportion to the
-tree it builds, without reading a clock.
+(``flat_audit.py``), a builder that leaves out the wrong failure is checked
+to be caught at run time, and compile is checked to grow in proportion to
+the tree it builds, without reading a clock.
 """
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flat_audit import flat_audit, flat_fields
-from test_cli import chain_doc, wide_screen_doc
+from test_cli import chain_doc, wide_screen_doc, write_doc
 from test_golden import HAND_BUILT_CASES, _hand_built
 from tqsim import (
     BUILTIN_EXPERIMENTS,
@@ -24,11 +25,15 @@ from tqsim import (
     ExperimentSpec,
     PlaceAbsorber,
     ResolutionStrategy,
+    RunConfig,
     SpacetimePoint,
     StateVector,
     builtin_spec,
+    cli,
+    engine,
     load_spec,
     program,
+    run_experiment,
 )
 from tqsim.engine import (
     Always,
@@ -147,6 +152,66 @@ def test_each_leaf_stores_only_its_own_events():
     prefixes = {id(r.parent.parent) for r in records}
     assert (len(groups), len(prefixes)) == (1, 1)
     assert sum(map(len, records)) == 201 * 402
+
+
+# -- a builder that leaves out the wrong failure --------------------------------
+
+class ShiftedRecord(Record):
+    """A record whose maker leaves out the failure after ``skip``, or stops
+    after ``stop``: each winner's record then holds its own failure."""
+
+    __slots__ = ()
+
+    def __init__(self, parent, items, stop=None, skip=None):
+        skip = None if skip is None else (skip + 1) % len(items)
+        super().__init__(parent, items, None if stop is None else stop + 1, skip)
+
+
+@pytest.mark.parametrize(
+    "layout,strategy,leaves",
+    [("dce-keep", "sequential", 201), ("dce-keep", "global-echo", 201), ("chain-4", "hierarchy", 4)],
+)
+def test_a_winner_whose_record_holds_its_own_failure_is_flagged(
+    monkeypatch, capsys, tmp_path, layout, strategy, leaves
+):
+    # A winner's leaf folds only the notable failures in its view, on the
+    # premise that its own is left out; the builder checks that premise, so
+    # a wrong view still shows as a second resolution of the winner.
+    if layout == "chain-4":
+        spec, which = load_spec(json.dumps(chain_doc(4))), ["--spec", write_doc(tmp_path, chain_doc(4))]
+    else:
+        spec, which = builtin_spec(layout), ["--experiment", layout]
+    assert not any(leaf.violations for leaf in grow(spec, strategy).leaves)
+    monkeypatch.setattr(program, "Record", ShiftedRecord)
+    program.compile_program.cache_clear()
+    try:
+        compiled = program.compile_program.__wrapped__(spec, strategy, True)
+        _, report = run_experiment(spec, RunConfig(20_000, 3, strategy))
+        code = cli.main(["run", *which, "--trials", "2000", "--seed", "3", "--strategy", strategy])
+    finally:
+        program.compile_program.cache_clear()
+    capsys.readouterr()
+    assert len(compiled.leaves) == leaves
+    assert all(f"duplicate-resolution:{leaf.outcome}" in leaf.violations for leaf in compiled.leaves)
+    assert not report.clean()
+    assert code == 2
+
+
+@pytest.mark.parametrize("strategy", ["sequential", "global-echo"])
+@pytest.mark.parametrize("bins", [201, 401])
+def test_a_screen_compile_folds_each_event_once(monkeypatch, strategy, bins):
+    # Each bin's confirmation, and each winner's success: a check that
+    # folded every winner's view whole would fold bins**2 events.
+    spec = load_spec(json.dumps(wide_screen_doc(bins)))
+    step, steps = engine.Audit.step, []
+
+    def counted(audit, e):
+        steps.append(None)
+        step(audit, e)
+
+    monkeypatch.setattr(engine.Audit, "step", counted)
+    program.compile_program.__wrapped__(spec, strategy, True)
+    assert len(steps) == 2 * bins
 
 
 # -- the record ---------------------------------------------------------------

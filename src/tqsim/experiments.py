@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -132,6 +133,7 @@ class ScreenModel:
         offsets = np.arange(self.bins) - (self.bins - 1) / 2
         return offsets * self.bin_width
 
+    @lru_cache(maxsize=64)
     def bin_labels(self) -> tuple[str, ...]:
         return tuple(f"bin{k:03d}" for k in range(self.bins))
 
@@ -154,11 +156,12 @@ def _slit_terms(model: ScreenModel, state: StateVector) -> list[np.ndarray]:
     return terms
 
 
+@lru_cache(maxsize=64)
 def screen_amplitudes(model: ScreenModel, state: StateVector) -> StateVector:
     """Re-express a two-channel state in the screen's bin basis.
 
     Each bin amplitude sums the channel amplitudes propagated over their
-    path lengths; the result is normalized over bins.
+    path lengths; the result is normalized over bins, memoised and immutable.
     """
     amps = sum(_slit_terms(model, state))
     try:

@@ -5,8 +5,8 @@ probability is the product of its slices' widths; leaves carry the canonical
 trial record (ledger, outcome, audit results) shared by every trial landing
 there, and their probabilities double as an exact enumerator for
 cross-checks.  A trial draws one uniform and inverts it through the leaves'
-cumulative probabilities (inverse-transform sampling), so the single-trial
-API and the batched runner agree draw for draw, whatever the tree's depth.
+cumulative probabilities (inverse-transform sampling), so ``TrialProgram.run``
+and montecarlo's chunk counter agree draw for draw, whatever the tree's depth.
 
 A tree stores each of its events once.  Each leaf's ledger is a
 parent-linked :class:`~tqsim.engine.Record`: a node stores the events it
@@ -22,11 +22,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import experiments as xp
 from .engine import (
@@ -169,9 +167,6 @@ class _Builder:
         self.strategy = strategy
         self.tie_break = tie_break
         self.bin_channels = spec.bin_channels()
-        # Built at the first screen absorption, if any, and kept; the spec
-        # gate has already checked that it builds.
-        self.screen_basis = cache(partial(xp.screen_amplitudes, spec.screen, spec.initial_state))
         self.state_channels = set(spec.initial_state.labels)
         self.triggers = tuple(r.trigger for r in spec.rules)
         self.leaves: list[Leaf] = []
@@ -336,8 +331,9 @@ class _Builder:
         screen_event = any(ch in self.bin_channels for _, ch, _pos in responding)
         if screen_event and any(ch not in self.bin_channels for _, ch, _pos in responding):
             raise ValueError("screen and direct absorbers share an absorption event")
-        basis = self.screen_basis() if screen_event else self.spec.initial_state
-        txs = confirm(self.spec.emission, basis, responding)
+        spec = self.spec
+        basis = xp.screen_amplitudes(spec.screen, spec.initial_state) if screen_event else spec.initial_state
+        txs = confirm(spec.emission, basis, responding)
         walk.add(*[
             LedgerEvent(EventKind.CW, t, absorber=tx.absorber, channel=tx.channel, weight=tx.weight)
             for tx in txs
@@ -420,37 +416,6 @@ def compile_program(
 compile_program.cache_clear = _cached_build.cache_clear
 compile_program.cache_info = _cached_build.cache_info
 compile_program.__wrapped__ = _build
-
-
-# Most cuts for which classify_counts compares the column with each cut
-# rather than sort it: on 50 000 rows a pass costs about 10 us and the sort
-# about 270 us (2 CPUs, numpy 2.4), so they meet near 26 cuts; 16 keeps a margin.
-COUNT_CUTS_MAX = 16
-
-
-def classify_counts(program: TrialProgram, uniforms: np.ndarray) -> np.ndarray:
-    """Count per leaf the trials of a (trials, 1) uniform table.
-
-    Row i lands on the leaf ``program.run`` picks drawing row i's value:
-    leaf ``bisect_right(cdf, u)``, which holds ``cdf[i-1] <= u < cdf[i]``,
-    so a value on a cut goes to the leaf above it.  The differences of the
-    counts of values below each cut are the leaves' counts: a tree of at
-    most ``COUNT_CUTS_MAX`` cuts compares the column with each cut, a larger
-    one ranks its cuts in the column sorted in place (counts do not depend
-    on row order).  The trial count is the table's row count, so a one-leaf
-    tree, which has no cut, still counts every trial.
-
-    Neither path copies the table.  A copy would make each chunk free two
-    tables where it now frees one, which is just enough for malloc to hand
-    the heap back to the kernel after every chunk and fault it in again.
-    """
-    column = uniforms[:, 0]
-    if len(program.cdf) <= COUNT_CUTS_MAX:
-        below = np.array([np.count_nonzero(column < cut) for cut in program.cdf], dtype=np.int64)
-    else:
-        column.sort()
-        below = np.searchsorted(column, program.cdf, side="left")
-    return np.diff(below, prepend=0, append=uniforms.shape[0])
 
 
 def outcome_distribution(

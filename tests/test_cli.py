@@ -1,4 +1,5 @@
 """Command-line behavior, exercised in process through main()."""
+import ast
 import json
 import math
 import os
@@ -138,6 +139,19 @@ def test_one_worker_run_leaves_the_thread_pool_unimported():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("[]", "[]")
+
+
+def test_only_montecarlo_and_experiments_import_numpy():
+    # Trials are sampled in montecarlo and the screen geometry lives in
+    # experiments; the tree builder and the rest stay free of numpy.
+    importers = set()
+    for path in Path(tqsim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            names += [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"montecarlo.py", "experiments.py"}
 
 
 def test_validate_refuses_transaction_succeeded_trigger(tmp_path, capsys):

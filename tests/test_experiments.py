@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import tqsim
 from conftest import FakeRng
+from tqsim import experiments
 from tqsim import (
     DEGENERATE,
     AbsorberConfig,
@@ -197,6 +198,23 @@ def test_screen_amplitudes_need_two_channels():
     s3 = StateVector(("a", "b", "c"), (1.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="two-channel state"):
         screen_amplitudes(ScreenModel(2.0, 1.0, 100.0, 3, 10.0), s3)
+
+
+def test_an_uncached_compile_builds_the_screen_basis_once(monkeypatch):
+    # The spec gate builds the basis; the builder reuses it at the screen
+    # absorption, and a second compile of the same screen builds nothing.
+    slit_terms, calls = experiments._slit_terms, []
+
+    def counted(model, state):
+        calls.append(None)
+        return slit_terms(model, state)
+
+    monkeypatch.setattr(experiments, "_slit_terms", counted)
+    screen_amplitudes.cache_clear()
+    compile_program.__wrapped__(dce_spec("keep"), "sequential")
+    assert len(calls) == 1
+    compile_program.__wrapped__(dce_spec("keep"), "global-echo")
+    assert len(calls) == 1
 
 
 def test_half_wavelength_path_difference_cancels():

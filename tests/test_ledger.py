@@ -3,14 +3,16 @@
 A compiled leaf's ledger shares its branch's record with its siblings, and
 its verdict, conditions and weight-sum error come from an audit folded down
 the tree.  Here each leaf is checked against a flat read of its whole record
-(``flat_audit.py``), a builder that leaves out the wrong failure is checked
-to be caught at run time, and compile is checked to grow in proportion to
-the tree it builds, without reading a clock.
+(``flat_audit.py``), a builder that leaves out the wrong failure, and a
+corpus of other builder faults, are checked to be caught at run time, and
+compile is checked to grow in proportion to the tree it builds, without
+reading a clock.
 """
 import json
 import math
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,6 +195,111 @@ def test_a_winner_whose_record_holds_its_own_failure_is_flagged(
     capsys.readouterr()
     assert len(compiled.leaves) == leaves
     assert all(f"duplicate-resolution:{leaf.outcome}" in leaf.violations for leaf in compiled.leaves)
+    assert not report.clean()
+    assert code == 2
+
+
+# -- a corpus of builder faults, each caught by a run-time check --------------
+
+class _Eager:
+    """A branch's audit on which every trigger is met."""
+
+    def __init__(self, audit):
+        self.audit = audit
+
+    def __getattr__(self, name):
+        return getattr(self.audit, name)
+
+    def satisfied(self, trigger):
+        return True
+
+
+def rules_due_early(monkeypatch):
+    """The builder makes a rule due before its trigger is on the record.
+    The audit's own trigger check reads ``Audit.satisfied``, so only the
+    builder's due-rule test is patched."""
+    next_event = program._Builder._next_event
+    monkeypatch.setattr(
+        program._Builder, "_next_event",
+        lambda self, walk: next_event(self, SimpleNamespace(audit=_Eager(walk.audit), present=walk.present)),
+    )
+
+
+def terminal_dropped(monkeypatch):
+    """A leaf that no success ends is made without its terminal event."""
+    leaf = program._Builder._leaf
+    monkeypatch.setattr(program._Builder, "_leaf", lambda self, walk, outcome, terminal=None: leaf(self, walk, outcome))
+
+
+def confirmations_dropped(monkeypatch):
+    """An absorption's confirmation waves are offered but never recorded."""
+    absorb = program._Builder._absorb_event
+
+    def unrecorded(self, walk, t):
+        walk.add = lambda *events: None
+        try:
+            return absorb(self, walk, t)
+        finally:
+            del walk.add
+
+    monkeypatch.setattr(program._Builder, "_absorb_event", unrecorded)
+
+
+def previous_leaf_label(monkeypatch):
+    """Each ledger is made with the emitter label of the leaf made before it."""
+    labels = []
+
+    def ledger(events, label, outcome):
+        labels.append(label)
+        return TrialLedger(events, labels[-2] if len(labels) > 1 else label, outcome)
+
+    monkeypatch.setattr(program, "TrialLedger", ledger)
+
+
+def kinds(leaf):
+    return {v.split(":")[0] for v in leaf.violations}
+
+
+def unconfirmed(leaf):
+    """What a record with no confirmation shows: each failure is of an
+    absorber that never answered, and a winner is not in the emitter label."""
+    shown = {EventKind.FAILURE: "failure-without-cw", EventKind.SUCCESS: "outcome-mismatch"}
+    return {shown[e.kind] for e in leaf.ledger.events if e.kind in shown}
+
+
+@pytest.mark.parametrize(
+    "fault,layout,strategy,leaves,expected",
+    [
+        # The rule removes the screen on the coin's "up" face alone; made due
+        # on both faces, it is flagged where the coin showed "down".
+        (rules_due_early, "dce-coinflip", "sequential", 4,
+         lambda leaf: {"placement-without-prior-trigger"} if leaf.coin_outcome == "down" else set()),
+        (terminal_dropped, "dce-keep", "hierarchy", 1, lambda leaf: {"missing-terminal-event"}),
+        # With no confirmation on the record the builder also sees no weight
+        # offered, so maudlin grows a third leaf, on which B fails too.
+        (confirmations_dropped, "maudlin", "sequential", 3, unconfirmed),
+        (confirmations_dropped, "dce-keep", "sequential", 201, unconfirmed),
+        (previous_leaf_label, "maudlin", "sequential", 2,
+         lambda leaf: {"emitter-state-mismatch"} if leaf.index else set()),
+    ],
+    ids=["rule-due-early", "terminal-dropped", "cw-dropped-maudlin", "cw-dropped-dce-keep", "previous-label"],
+)
+def test_a_builder_fault_is_caught_at_run_time(
+    monkeypatch, capsys, fault, layout, strategy, leaves, expected
+):
+    spec = builtin_spec(layout)
+    assert not any(leaf.violations for leaf in grow(spec, strategy).leaves)
+    program.compile_program.cache_clear()
+    fault(monkeypatch)
+    try:
+        compiled = program.compile_program.__wrapped__(spec, strategy, True)
+        _, report = run_experiment(spec, RunConfig(20_000, 3, strategy))
+        code = cli.main(["run", "--experiment", layout, "--trials", "2000", "--seed", "3", "--strategy", strategy])
+    finally:
+        program.compile_program.cache_clear()
+    capsys.readouterr()
+    assert len(compiled.leaves) == leaves
+    assert [kinds(leaf) for leaf in compiled.leaves] == [expected(leaf) for leaf in compiled.leaves]
     assert not report.clean()
     assert code == 2
 

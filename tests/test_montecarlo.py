@@ -36,7 +36,8 @@ from tqsim import (
 )
 from tqsim import cli, montecarlo, program
 from tqsim.engine import is_mismatch
-from tqsim.program import Leaf, Node, TrialProgram, classify_counts
+from tqsim.montecarlo import COUNT_CUTS_MAX, classify_counts
+from tqsim.program import Leaf, Node, TrialProgram
 
 
 # -- uniform table ------------------------------------------------------------
@@ -131,7 +132,7 @@ def program_with_cuts(n):
 
 # Cut counts on both sides of classify_counts' choice between comparing
 # and sorting.
-CROSSOVER_CUTS = (0, 1, program.COUNT_CUTS_MAX - 1, program.COUNT_CUTS_MAX, program.COUNT_CUTS_MAX + 1, 70)
+CROSSOVER_CUTS = (0, 1, COUNT_CUTS_MAX - 1, COUNT_CUTS_MAX, COUNT_CUTS_MAX + 1, 70)
 
 
 @pytest.mark.parametrize(

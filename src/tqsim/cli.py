@@ -157,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker threads, capped at the chunk and CPU counts (default 1)",
+        help="threads counting chunks, this one included, capped at the chunk and CPU counts (default 1)",
     )
     p_run.add_argument("--out", help="directory for results.json (and histogram.csv)")
     p_run.add_argument("--format", choices=("json", "csv"), default="json", help="stdout format")

@@ -1,13 +1,14 @@
 """Batched runs: Philox uniforms, chunk counts, frequency tables, audits.
 
-Trial i always consumes value i of a fixed uniform stream keyed by the
-seed, so results are a pure function of (spec, strategy, trials, seed) no
-matter how the work is chunked or how many workers chew on it.
+Trial i always consumes value i of a fixed uniform stream keyed by the seed,
+so results are a pure function of (spec, strategy, trials, seed) however many
+workers count the chunks: the calling thread, plus N - 1 threads for N workers.
 """
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -132,30 +133,39 @@ class ConsistencyReport:
 def run_experiment(spec: ExperimentSpec, config: RunConfig) -> tuple[FrequencyTable, ConsistencyReport]:
     """Run ``config.n_trials`` trials and aggregate; deterministic in the seed.
 
-    Worker threads split the fixed-size chunks between them and share the
-    compiled tree; the merge is an integer sum, so the result is identical
-    for any worker count.
+    This thread and ``workers - 1`` helper threads count fixed-size chunks in
+    turn into integer totals, so the result is identical for any worker count.
+    The first failure in any thread stops them all and is raised here.
     """
     program = compile_program(spec, config.strategy, config.hierarchy_tie_break)
     n = config.n_trials
-    spans = [(a, min(a + CHUNK_TRIALS, n)) for a in range(0, n, CHUNK_TRIALS)]
+    starts, lock = iter(range(0, n, CHUNK_TRIALS)), threading.Lock()
+    totals, failures = [], []  # an int64 count per thread; failures stop them all
 
-    def count_chunk(span: tuple[int, int]) -> np.ndarray:
-        # Looked up at call time, so a module attribute swapped in by a
-        # caller (e.g. a tracer) sees every chunk.
-        return classify_counts(program, trial_uniforms(config.seed, *span, 1))
+    def next_start() -> int | None:
+        with lock:
+            return None if failures else next(starts, None)
 
-    # More threads than chunks or CPUs only adds overhead.  One worker maps in
-    # this thread and imports no pool: a thread per call may get a new malloc
-    # arena, and peak memory would then vary from run to run.
-    workers = min(config.workers, len(spans), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # and logging: only a pool needs them
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_counts = list(pool.map(count_chunk, spans))
-    else:
-        chunk_counts = map(count_chunk, spans)
-    leaf_counts = np.sum(list(chunk_counts), axis=0)
+    def count_chunks(helpers: Sequence[threading.Thread] = ()) -> None:
+        try:
+            for helper in helpers:  # here, so that an interrupt stops those started
+                helper.start()
+            totals.append(counts := np.zeros(len(program.leaves), dtype=np.int64))
+            for start in iter(next_start, None):
+                # Looked up at call time, so a tracer that swaps them in sees every chunk.
+                counts += classify_counts(program, trial_uniforms(config.seed, start, min(start + CHUNK_TRIALS, n), 1))
+        except BaseException as exc:  # KeyboardInterrupt too; the caller raises it
+            failures.append(exc)
+
+    # More threads than chunks or CPUs only adds overhead.
+    workers = min(config.workers, -(-n // CHUNK_TRIALS), os.cpu_count() or 1)
+    helpers = [threading.Thread(target=count_chunks) for _ in range(workers - 1)]
+    count_chunks(helpers)
+    for helper in filter(threading.Thread.is_alive, helpers):  # unstarted if interrupted
+        helper.join()
+    if failures:
+        raise failures[0]
+    leaf_counts = sum(totals)
 
     # Keys come sorted; the tables leave out those no trial reached.
     tally = program.tally(leaf_counts.tolist(), sum)

@@ -126,12 +126,14 @@ def run_bounded(argv, preamble="", timeout=60):
 
 
 def test_one_worker_run_leaves_the_thread_pool_unimported():
-    # concurrent.futures brings logging with it; only a pooled run needs it.
+    # concurrent.futures brings logging with it; chunks are counted on plain
+    # threads, so no run needs either, at one worker or at two (three chunks).
     code = (
         "import sys\nfrom tqsim.cli import main\n"
         "pooled = lambda: sorted({'concurrent.futures', 'logging'} & sys.modules.keys())\n"
         "print(pooled())\n"
         "main(['run', '--experiment', 'maudlin', '--trials', '1000', '--seed', '1'])\n"
+        "main(['run', '--experiment', 'maudlin', '--trials', '100001', '--seed', '1', '--workers', '2'])\n"
         "print(pooled())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(tqsim.__file__).resolve().parents[1]))

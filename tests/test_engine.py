@@ -1,6 +1,7 @@
 """Tests for candidate formation, the split rule, resolution, and the trial audit."""
 import bisect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,12 +28,13 @@ from tqsim import (
     cuts,
     emitter_label,
     initial_transactions,
+    maudlin_spec,
     resolve_hierarchy,
     sort_by_interval,
     spacetime_interval2,
     trigger_satisfied,
 )
-from tqsim.engine import split_unit
+from tqsim.engine import Audit, split_unit
 from tqsim.program import Node
 from tqsim.quantum import StateVector, normalize
 
@@ -183,6 +185,20 @@ def test_resolve_hierarchy_reports_degenerate_ordering():
 def test_resolve_hierarchy_needs_complete_coverage():
     with pytest.raises(StrategyError, match="complete absorber coverage"):
         resolve_hierarchy([tx("A", 0.7, 1.0)], FakeRng([0.1]))
+
+
+@pytest.mark.parametrize(
+    "strategy,message",
+    [
+        ("global-echo", "GlobalEcho requires complete absorber coverage"),
+        ("hierarchy", "hierarchy requires complete absorber coverage"),
+    ],
+)
+def test_incomplete_coverage_is_refused_in_the_strategy_own_words(strategy, message):
+    # Without its rule, maudlin's B is never placed and A covers half the mass.
+    with pytest.raises(StrategyError) as refused:
+        compile_program(replace(maudlin_spec(), rules=()), strategy)
+    assert str(refused.value) == message
 
 
 # -- stepwise resolution ------------------------------------------------------
@@ -374,6 +390,18 @@ def test_audit_flags_rule_index_out_of_range():
         "B",
     )
     assert check_bilking(lg, CONTINGENT) == ["rule-index-out-of-range:3"]
+
+
+def test_a_compiled_leaf_rechecked_against_other_triggers_is_folded_afresh():
+    # Maudlin's B leaf holds the fold made with the rule's trigger, which is
+    # clean; against no triggers its placement names a rule that is not there.
+    spec = maudlin_spec()
+    leaf = compile_program(spec, "sequential").leaves[1]
+    lg = leaf.ledger
+    stored = check_bilking(lg, tuple(r.trigger for r in spec.rules))
+    fresh = Audit(()).fold(lg.events).close().violations(lg.final_outcome, lg.emitter_state)
+    assert check_bilking(lg, ()) == fresh == ["rule-index-out-of-range:0"]
+    assert stored == [] != fresh
 
 
 def test_audit_flags_failure_without_confirmation():

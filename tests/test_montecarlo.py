@@ -1,5 +1,4 @@
 """Batched runs: determinism, aggregation, summary statistics, serialization."""
-import concurrent.futures
 import gc
 import itertools
 import json
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import FakeRng
+from test_cli import wide_screen_doc
 from test_ledger import cascade_spec
 from tqsim import (
     CHUNK_TRIALS,
@@ -28,6 +28,7 @@ from tqsim import (
     dce_spec,
     frequency,
     histogram_csv,
+    load_spec,
     maudlin_spec,
     run_experiment,
     run_payload,
@@ -252,31 +253,77 @@ def test_more_threads_than_cores_count_like_one(monkeypatch):
 
 
 def test_pool_never_outnumbers_chunks_or_cpus(monkeypatch):
-    sizes = []
+    # The calling thread counts chunks too, so N workers start N - 1 threads.
+    started = []
+    original = threading.Thread.start
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def start(thread):
+        started.append(thread)
+        original(thread)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    # run_experiment imports the pool at call time; one worker starts none.
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(threading.Thread, "start", start)
     n = 2 * CHUNK_TRIALS + 1  # three chunks
     serial, _ = run_experiment(maudlin_spec(), RunConfig(n, 5, workers=1))
-    for cpus, expected in ((8, [3]), (2, [2]), (None, [])):
-        sizes.clear()
+    for cpus, helpers in ((8, 2), (2, 1), (None, 0)):
+        started.clear()
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda cpus=cpus: cpus)
         table, _ = run_experiment(maudlin_spec(), RunConfig(n, 5, workers=64))
-        assert sizes == expected
+        assert len(started) == helpers
         assert table == serial
+
+
+class ChunkFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "on_caller,error", [(False, ChunkFailed), (True, ChunkFailed), (True, KeyboardInterrupt)],
+    ids=["helper", "caller", "caller-interrupted"],
+)
+def test_a_failed_chunk_stops_every_thread_and_is_raised(monkeypatch, on_caller, error):
+    # One chunk of eight fails.  The other thread holds its first chunk until
+    # the failure is raised, so it counts that one and stops (or one more if it
+    # takes a start before the failure is recorded), never the other seven.
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    caller = threading.get_ident()
+    original = montecarlo.classify_counts
+    failed = threading.Event()
+    counted = []  # list.append is atomic across threads
+
+    def classify(program, uniforms):
+        if (threading.get_ident() == caller) == on_caller and not failed.is_set():
+            failed.set()
+            raise error
+        assert failed.wait(10)
+        counted.append(len(uniforms))
+        return original(program, uniforms)
+
+    monkeypatch.setattr(montecarlo, "classify_counts", classify)
+    before = threading.active_count()
+    with pytest.raises(error):
+        run_experiment(maudlin_spec(), RunConfig(8 * CHUNK_TRIALS, 5, workers=2))
+    assert threading.active_count() == before
+    assert failed.is_set()
+    assert len(counted) < 7
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_memory_does_not_grow_with_trials(monkeypatch, workers):
+    # 25 times the chunks: spans, futures or per-chunk counts kept until the
+    # end grew the peak by about 14 MiB on this 999-bin screen.
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    spec = load_spec(json.dumps(wide_screen_doc(999)))
+    run_experiment(spec, RunConfig(1, 1, workers=workers))  # compiled once, outside the trace
+    peaks = []
+    tracemalloc.start()
+    try:
+        for trials in (2_000_000, 50_000_000):
+            tracemalloc.reset_peak()
+            run_experiment(spec, RunConfig(trials, 1, workers=workers))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20, peaks
 
 
 def test_one_worker_starts_no_thread(monkeypatch):

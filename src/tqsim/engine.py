@@ -246,11 +246,10 @@ class Record(Sequence):
     its parent's.  So a tree node stores the events it adds once, and a
     resolution node its candidates' failures once for all its children: a
     winner's segment skips the winner's own failure (or stops before it).
-    ``len`` is kept on each segment.  ``audit`` holds the
-    :class:`Findings` of the whole sequence once its maker has folded it.
+    ``len`` is kept on each segment.
     """
 
-    __slots__ = ("parent", "items", "stop", "skip", "size", "audit")
+    __slots__ = ("parent", "items", "stop", "skip", "size")
 
     def __init__(
         self,
@@ -262,7 +261,6 @@ class Record(Sequence):
         self.parent, self.items, self.skip = parent, items, skip
         self.stop = len(items) if stop is None else stop
         self.size = (0 if parent is None else parent.size) + self.stop - (skip is not None)
-        self.audit: Findings | None = None
 
     def __len__(self) -> int:
         return self.size
@@ -331,6 +329,29 @@ class CoinOutcome:
 
 Trigger = Always | TransactionFailed | CoinOutcome
 
+
+class ViolationKind(str, enum.Enum):
+    """What a trial's record shows to be wrong with it."""
+
+    RULE_INDEX_OUT_OF_RANGE = "rule-index-out-of-range"
+    PLACEMENT_WITHOUT_PRIOR_TRIGGER = "placement-without-prior-trigger"
+    MULTIPLE_SUCCESS = "multiple-success"
+    DUPLICATE_RESOLUTION = "duplicate-resolution"
+    OUTCOME_MISMATCH = "outcome-mismatch"
+    MISSING_TERMINAL_EVENT = "missing-terminal-event"
+    EMITTER_STATE_MISMATCH = "emitter-state-mismatch"
+    FAILURE_WITHOUT_CW = "failure-without-cw"
+
+
+class Violation(NamedTuple):
+    """One fault :func:`check_bilking` finds; ``detail`` names where it is."""
+
+    kind: ViolationKind
+    detail: str = ""
+
+
+# The kinds that say the ledger disagrees with its record, not that it breaches causal order.
+MISMATCHES = frozenset({ViolationKind.OUTCOME_MISMATCH, ViolationKind.EMITTER_STATE_MISMATCH})
 _TERMINALS = (NO_OUTCOME, DEGENERATE)
 _TERMINAL_KINDS = (EventKind.NO_TRANSACTION, EventKind.DEGENERATE)
 _APPARATUS = (EventKind.PLACE, EventKind.DIVERT, EventKind.REMOVE_SCREEN)
@@ -347,8 +368,8 @@ class Audit:
     and the resolutions of trigger-named absorbers), the weight offered, and
     the share of the emitted state no confirmation has taken up: ``shares``
     maps a channel to its share |amp|^2, and a confirmation on a channel in
-    ``whole`` (a screen bin) takes up all of it.  :meth:`close` gives what
-    :func:`check_bilking` reports from.
+    ``whole`` (a screen bin) takes up all of it.  :meth:`verdict` reports
+    the violations of the whole record folded.
     """
 
     _TABLES = ("seen", "fired", "answered", "channels", "resolved", "dups")
@@ -367,7 +388,7 @@ class Audit:
         self.names: tuple[str, ...] = ()  # the answered absorbers, sorted
         self.unsorted: list[str] = []  # answered since ``names`` was sorted
         self._label: str | None = None
-        self.problems: tuple[str, ...] = ()
+        self.problems: tuple[Violation, ...] = ()  # trigger checks, in record order
         self.unanswered: tuple[str, ...] = ()  # failed before (or without) answering
         self.conditions: tuple[str, ...] = ()
         self.successes = self.resolutions = 0
@@ -381,9 +402,10 @@ class Audit:
             if kind in _APPARATUS:
                 # The trigger must be met strictly earlier on the record.
                 if e.rule_index >= len(self.triggers):
-                    self.problems += (f"rule-index-out-of-range:{e.rule_index}",)
+                    self.problems += (Violation(ViolationKind.RULE_INDEX_OUT_OF_RANGE, f"{e.rule_index}"),)
                 elif not self.satisfied(self.triggers[e.rule_index]):
-                    self.problems += (f"placement-without-prior-trigger:rule{e.rule_index}@t={e.time}",)
+                    at = f"rule{e.rule_index}@t={e.time}"
+                    self.problems += (Violation(ViolationKind.PLACEMENT_WITHOUT_PRIOR_TRIGGER, at),)
             self.fired[e.rule_index] = None
         if kind is EventKind.CW:
             if absorber is not None and absorber not in self.answered:
@@ -471,9 +493,9 @@ class Audit:
     def fork(self, overlay: bool = False) -> "Audit":
         """An audit to fold on apart from this one.  An overlay copies
         nothing: it stacks fresh tables on the ones resolutions write and
-        shares the rest, so it may fold only failures and successes, and is
-        closed before this audit folds on (the tree builder closes each
-        winner's leaf before it makes the next)."""
+        shares the rest, so it may fold only failures and successes, and
+        gives its verdict before this audit folds on (the tree builder makes
+        each winner's leaf before it makes the next)."""
         self.label  # sorts the names, so that the fork shares them and the label
         other = object.__new__(Audit)
         other.__dict__.update(self.__dict__)
@@ -483,53 +505,29 @@ class Audit:
             setattr(other, name, ChainMap({}, table) if overlay else dict(table))
         return other
 
-    def close(self) -> "Findings":
-        return Findings(
-            self.triggers,
-            self.problems,
-            self.successes,
-            self.winner,
-            tuple(sorted(self.dups, key=self.resolved.__getitem__)),
-            self.last in _TERMINAL_KINDS,
-            self.label,
-            self.winner in self.answered,
-            tuple(a for a in self.unanswered if a not in self.answered),
-        )
-
-
-class Findings(NamedTuple):
-    """A whole record's audit, folded against ``triggers``: what
-    :func:`check_bilking` needs besides the ledger's recorded outcome and
-    emitter state."""
-
-    triggers: tuple[Trigger, ...]
-    problems: tuple[str, ...]  # trigger checks, in record order
-    successes: int
-    winner: str | None  # the first success's absorber
-    duplicates: tuple[str, ...]  # resolved more than once, by first resolution
-    terminal: bool  # the record ends in a terminal event
-    label: str  # the emitter label of the absorbers that answered
-    winner_answered: bool
-    unanswered: tuple[str, ...]  # each failure of an absorber that never answered
-
-    def violations(self, outcome: str, emitter_state: str) -> list[str]:
+    def verdict(self, outcome: str, emitter_state: str) -> list[Violation]:
+        """The violations of the whole record folded here, whose ledger
+        records ``outcome`` and ``emitter_state``, in the order reported."""
         found = list(self.problems)
         if self.successes > 1:
-            found.append("multiple-success")
-        found += [f"duplicate-resolution:{a}" for a in self.duplicates]
+            found.append(Violation(ViolationKind.MULTIPLE_SUCCESS))
+        dups = sorted(self.dups, key=self.resolved.__getitem__)
+        found += [Violation(ViolationKind.DUPLICATE_RESOLUTION, f"{a}") for a in dups]
+        mismatch = ViolationKind.OUTCOME_MISMATCH
         if self.successes == 1:
             if outcome != self.winner:
-                found.append(f"outcome-mismatch:recorded={outcome},won={self.winner}")
+                found.append(Violation(mismatch, f"recorded={outcome},won={self.winner}"))
         else:
             if outcome not in _TERMINALS:
-                found.append(f"outcome-mismatch:no-success-but-outcome={outcome}")
-            if not self.terminal:
-                found.append("missing-terminal-event")
+                found.append(Violation(mismatch, f"no-success-but-outcome={outcome}"))
+            if self.last not in _TERMINAL_KINDS:
+                found.append(Violation(ViolationKind.MISSING_TERMINAL_EVENT))
         if emitter_state != self.label:
-            found.append("emitter-state-mismatch:ledger-disagrees-with-cw-record")
-        if self.successes == 1 and not self.winner_answered:
-            found.append(f"outcome-mismatch:{self.winner}-not-in-{self.label}")
-        found += [f"failure-without-cw:{a}" for a in self.unanswered]
+            found.append(Violation(ViolationKind.EMITTER_STATE_MISMATCH, "ledger-disagrees-with-cw-record"))
+        if self.successes == 1 and self.winner not in self.answered:
+            found.append(Violation(mismatch, f"{self.winner}-not-in-{self.label}"))
+        unanswered = [a for a in self.unanswered if a not in self.answered]
+        found += [Violation(ViolationKind.FAILURE_WITHOUT_CW, f"{a}") for a in unanswered]
         return found
 
 
@@ -538,25 +536,20 @@ def trigger_satisfied(trigger: Trigger, events: Sequence[LedgerEvent]) -> bool:
     return Audit((trigger,)).fold(events).satisfied(trigger)
 
 
-def check_bilking(ledger: TrialLedger, triggers: Sequence[Trigger] = ()) -> list[str]:
+def check_bilking(
+    ledger: TrialLedger, triggers: Sequence[Trigger] = (), audit: Audit | None = None
+) -> list[Violation]:
     """Audit a completed trial for causal-loop bookkeeping violations.
 
     Checks, in order: (a) every apparatus change fired by a contingency rule
     has its triggering outcome strictly earlier on the record; (b) exactly
     one transaction succeeded, or the ledger ends in an explicit terminal
-    state; (c) the recorded outcome and emitter state agree.  Violations are
-    reported as strings; an empty list means the record is clean.
+    state; (c) the recorded outcome and emitter state agree.  An empty list
+    means the record is clean.
 
-    A :class:`Record` its maker folded against the same ``triggers`` is
-    reported from that fold; any other sequence is folded here, once.
+    ``audit`` is the caller's own fold of ``ledger.events`` against
+    ``triggers``; without one, the events are folded here, once.
     """
-    found = getattr(ledger.events, "audit", None)
-    if found is None or (found.triggers is not triggers and found.triggers != tuple(triggers)):
-        found = Audit(triggers).fold(ledger.events).close()
-    return found.violations(ledger.final_outcome, ledger.emitter_state)
-
-
-def is_mismatch(violation: str) -> bool:
-    """Does a :func:`check_bilking` violation say the recorded outcome or
-    emitter state disagrees with the record (rather than a bilking breach)?"""
-    return violation.startswith(("outcome-mismatch", "emitter-state-mismatch"))
+    if audit is None:
+        audit = Audit(triggers).fold(ledger.events)
+    return audit.verdict(ledger.final_outcome, ledger.emitter_state)

@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 from . import experiments as xp
 from .engine import (
     DEGENERATE,
+    MISMATCHES,
     NO_OUTCOME,
     Always,
     Audit,
@@ -40,11 +41,11 @@ from .engine import (
     SpacetimePoint,
     StrategyError,
     TrialLedger,
+    Violation,
     check_bilking,
     confirm,
     cuts,
     exact_units,
-    is_mismatch,
     rounded,
     split_unit,
 )
@@ -72,7 +73,7 @@ class Leaf:
     ledger: TrialLedger
     conditions: tuple[str, ...]
     weight_sum_error: float
-    violations: tuple[str, ...]
+    violations: tuple[Violation, ...]
     probability: float
 
 
@@ -104,11 +105,12 @@ class TrialProgram:
     def census(self) -> dict[str, dict]:
         """Each tally field's keys, sorted, and each key's leaf indices: the
         outcomes, (condition, outcome) pairs, emitter states, and the
-        ``bilking`` and ``mismatch`` flags (see :func:`is_mismatch`)."""
+        ``bilking`` and ``mismatch`` flags (a violation's kind in or out of
+        :data:`~tqsim.engine.MISMATCHES`)."""
         fields: dict[str, dict] = {"outcomes": {}, "conditionals": {}, "emitter_states": {}}
         fields["flags"] = {"bilking": [], "mismatch": []}
         for leaf in self.leaves:
-            mismatch = [is_mismatch(v) for v in leaf.violations]
+            mismatch = [v.kind in MISMATCHES for v in leaf.violations]
             keyed = [("outcomes", leaf.outcome), ("emitter_states", leaf.ledger.emitter_state)]
             keyed += [("conditionals", (c, leaf.outcome)) for c in leaf.conditions]
             keyed += [("flags", "bilking")] * (not all(mismatch)) + [("flags", "mismatch")] * any(mismatch)
@@ -275,7 +277,7 @@ class _Builder:
         node, probs = _node(walk, points)
         for i, tx in enumerate(ordered):
             view = Record(prefix, fails, stop=i) if hierarchy else Record(prefix, fails, skip=i)
-            # Each overlay is closed before the next is made.  It folds the
+            # Each overlay is audited before the next is made.  It folds the
             # notable failures in the view (see Audit.notable), or all of them
             # if one is the winner's own: its success then reads as a duplicate.
             won = _Walk(walk.time, {}, walk.audit.fork(overlay=True), view, [], walk.draws + 1, probs[i])
@@ -359,7 +361,6 @@ class _Builder:
                 f"tree too large: its leaves would hold more than {MAX_LEDGER_EVENTS}"
                 " ledger events (MAX_LEDGER_EVENTS)"
             )
-        events.audit = audit.close()
         ledger = TrialLedger(events, audit.label, outcome)
         offered, unoffered = audit.weights
         leaf = Leaf(
@@ -369,7 +370,7 @@ class _Builder:
             ledger=ledger,
             conditions=audit.conditions,
             weight_sum_error=abs(offered + unoffered - 1.0),
-            violations=tuple(check_bilking(ledger, self.triggers)),
+            violations=tuple(check_bilking(ledger, self.triggers, audit)),
             probability=walk.prob,
         )
         self.leaves.append(leaf)

@@ -3,13 +3,22 @@
 tqsim folds its audit down each tree as the tree grows
 (``tqsim.engine.Audit``), so each leaf's verdict comes from what its
 branch shares with others.  :func:`flat_audit` shares no code with that
-fold but the event and trigger types: it reads one whole sequence of events
-in one forward scan, keeping the failures and coin faces seen so far, and
-gives the same verdict strings in the same order.
+fold but the event, trigger and violation types: it reads one whole
+sequence of events in one forward scan, keeping the failures and coin faces
+seen so far, and gives the same violations in the same order.
 """
 import math
 
-from tqsim.engine import DEGENERATE, NO_OUTCOME, Always, CoinOutcome, EventKind, TransactionFailed
+from tqsim.engine import (
+    DEGENERATE,
+    NO_OUTCOME,
+    Always,
+    CoinOutcome,
+    EventKind,
+    TransactionFailed,
+    Violation,
+    ViolationKind as Kind,
+)
 
 APPARATUS = (EventKind.PLACE, EventKind.DIVERT, EventKind.REMOVE_SCREEN)
 TERMINAL_KINDS = (EventKind.NO_TRANSACTION, EventKind.DEGENERATE)
@@ -31,7 +40,7 @@ def met(trigger, failed, faces) -> bool:
     raise TypeError(f"unknown trigger {trigger!r}")
 
 
-def flat_audit(ledger, triggers=()) -> list[str]:
+def flat_audit(ledger, triggers=()) -> list[Violation]:
     """``check_bilking``'s verdict on ``ledger``, read off its whole record."""
     violations = []
     events = tuple(ledger.events)
@@ -40,9 +49,10 @@ def flat_audit(ledger, triggers=()) -> list[str]:
     for e in events:
         if e.kind in APPARATUS and e.rule_index is not None:
             if e.rule_index >= len(triggers):
-                violations.append(f"rule-index-out-of-range:{e.rule_index}")
+                violations.append(Violation(Kind.RULE_INDEX_OUT_OF_RANGE, str(e.rule_index)))
             elif not met(triggers[e.rule_index], failed, faces):
-                violations.append(f"placement-without-prior-trigger:rule{e.rule_index}@t={e.time}")
+                at = f"rule{e.rule_index}@t={e.time}"
+                violations.append(Violation(Kind.PLACEMENT_WITHOUT_PRIOR_TRIGGER, at))
         if e.kind is EventKind.FAILURE:
             failed.add((e.absorber, e.time))
         elif e.kind is EventKind.COIN:
@@ -50,30 +60,31 @@ def flat_audit(ledger, triggers=()) -> list[str]:
 
     successes = [e for e in events if e.kind is EventKind.SUCCESS]
     if len(successes) > 1:
-        violations.append("multiple-success")
+        violations.append(Violation(Kind.MULTIPLE_SUCCESS))
     resolved: dict[str, int] = {}
     for e in events:
         if e.kind in (EventKind.SUCCESS, EventKind.FAILURE) and e.absorber:
             resolved[e.absorber] = resolved.get(e.absorber, 0) + 1
-    violations += [f"duplicate-resolution:{a}" for a, n in resolved.items() if n > 1]
+    violations += [Violation(Kind.DUPLICATE_RESOLUTION, str(a)) for a, n in resolved.items() if n > 1]
+    outcome = ledger.final_outcome
     if len(successes) == 1:
         winner = successes[0].absorber
-        if ledger.final_outcome != winner:
-            violations.append(f"outcome-mismatch:recorded={ledger.final_outcome},won={winner}")
+        if outcome != winner:
+            violations.append(Violation(Kind.OUTCOME_MISMATCH, f"recorded={outcome},won={winner}"))
     else:
-        if ledger.final_outcome not in (NO_OUTCOME, DEGENERATE):
-            violations.append(f"outcome-mismatch:no-success-but-outcome={ledger.final_outcome}")
+        if outcome not in (NO_OUTCOME, DEGENERATE):
+            violations.append(Violation(Kind.OUTCOME_MISMATCH, f"no-success-but-outcome={outcome}"))
         if not events or events[-1].kind not in TERMINAL_KINDS:
-            violations.append("missing-terminal-event")
+            violations.append(Violation(Kind.MISSING_TERMINAL_EVENT))
 
     answered = {e.absorber for e in events if e.kind is EventKind.CW and e.absorber is not None}
     expected = label(answered)
     if ledger.emitter_state != expected:
-        violations.append("emitter-state-mismatch:ledger-disagrees-with-cw-record")
+        violations.append(Violation(Kind.EMITTER_STATE_MISMATCH, "ledger-disagrees-with-cw-record"))
     if len(successes) == 1 and successes[0].absorber not in answered:
-        violations.append(f"outcome-mismatch:{successes[0].absorber}-not-in-{expected}")
+        violations.append(Violation(Kind.OUTCOME_MISMATCH, f"{successes[0].absorber}-not-in-{expected}"))
     violations += [
-        f"failure-without-cw:{e.absorber}"
+        Violation(Kind.FAILURE_WITHOUT_CW, str(e.absorber))
         for e in events
         if e.kind is EventKind.FAILURE and e.absorber not in answered
     ]

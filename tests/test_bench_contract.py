@@ -14,17 +14,21 @@ import numpy as np
 import pytest
 
 from test_cli import chain_doc
-from tqsim import ResolutionStrategy, dce_spec, experiments, load_spec, maudlin_spec, montecarlo, program
+from tqsim import ResolutionStrategy, cli, dce_spec, experiments, load_spec, maudlin_spec, montecarlo, program
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
 
 
-def tracing_boundaries():
+def tracing_module():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.BOUNDARIES
+    return module
+
+
+def tracing_boundaries():
+    return tracing_module().BOUNDARIES
 
 
 def traced_boundaries():
@@ -102,13 +106,31 @@ def test_program_audits_leaves_through_its_module_global(monkeypatch):
     audited = []
     original = program.check_bilking
 
-    def counted(ledger, triggers=()):
+    def counted(ledger, *args):
         audited.append(ledger)
-        return original(ledger, triggers)
+        return original(ledger, *args)
 
     monkeypatch.setattr(program, "check_bilking", counted)
     compiled = program.compile_program.__wrapped__(maudlin_spec(), "sequential", True)
     assert len(audited) == len(compiled.leaves) > 0
+
+
+def test_a_traced_run_goes_through_the_tracer_wrappers(capsys):
+    # The tracer's wrappers and counters take the arguments as src passes
+    # them (the leaf audit's by position), so a traced run must complete.
+    tracing = tracing_module()
+    argv = ["run", "--experiment", "dce-coinflip", "--trials", "120000", "--seed", "3", "--workers", "2"]
+    program.compile_program.cache_clear()
+    try:
+        with tracing.patched(tracing.Tracer()) as tracer:
+            code = cli.main(argv)
+    finally:
+        program.compile_program.cache_clear()
+    capsys.readouterr()
+    assert code == 0
+    spans = {name for name, *_ in tracer.spans}
+    assert {"engine.check_bilking", "program.compile_program", "montecarlo.trial_uniforms"} <= spans
+    assert tracer.counts()["engine.check_bilking.events"] > 0
 
 
 def test_every_chunk_runs_through_the_module_globals(monkeypatch):

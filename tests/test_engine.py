@@ -22,6 +22,8 @@ from tqsim import (
     StrategyError,
     TransactionFailed,
     TrialLedger,
+    Violation,
+    ViolationKind,
     check_bilking,
     compile_program,
     confirm,
@@ -307,7 +309,9 @@ def test_audit_flags_placement_without_trigger():
         ],
         "B",
     )
-    assert check_bilking(lg, CONTINGENT) == ["placement-without-prior-trigger:rule0@t=2.0"]
+    assert check_bilking(lg, CONTINGENT) == [
+        Violation(ViolationKind.PLACEMENT_WITHOUT_PRIOR_TRIGGER, "rule0@t=2.0")
+    ]
 
 
 def test_audit_flags_unconfirmed_winner():
@@ -318,7 +322,7 @@ def test_audit_flags_unconfirmed_winner():
         ],
         "B",
     )
-    assert check_bilking(lg, CONTINGENT) == ["outcome-mismatch:B-not-in-OW(A)"]
+    assert check_bilking(lg, CONTINGENT) == [Violation(ViolationKind.OUTCOME_MISMATCH, "B-not-in-OW(A)")]
 
 
 def test_audit_flags_multiple_success():
@@ -331,7 +335,7 @@ def test_audit_flags_multiple_success():
         ],
         "A",
     )
-    assert "multiple-success" in check_bilking(lg, CONTINGENT)
+    assert Violation(ViolationKind.MULTIPLE_SUCCESS, "") in check_bilking(lg, CONTINGENT)
 
 
 def test_audit_flags_duplicate_resolution():
@@ -344,12 +348,12 @@ def test_audit_flags_duplicate_resolution():
         ],
         NO_OUTCOME,
     )
-    assert "duplicate-resolution:A" in check_bilking(lg, CONTINGENT)
+    assert Violation(ViolationKind.DUPLICATE_RESOLUTION, "A") in check_bilking(lg, CONTINGENT)
 
 
 def test_audit_flags_recorded_outcome_other_than_the_winner():
     lg = ledger(DIRECT_SUCCESS, "B")
-    assert check_bilking(lg, CONTINGENT) == ["outcome-mismatch:recorded=B,won=A"]
+    assert check_bilking(lg, CONTINGENT) == [Violation(ViolationKind.OUTCOME_MISMATCH, "recorded=B,won=A")]
 
 
 def test_audit_flags_outcome_with_no_success():
@@ -361,13 +365,13 @@ def test_audit_flags_outcome_with_no_success():
         "A",
     )
     out = check_bilking(lg, CONTINGENT)
-    assert "outcome-mismatch:no-success-but-outcome=A" in out
-    assert "missing-terminal-event" in out
+    assert Violation(ViolationKind.OUTCOME_MISMATCH, "no-success-but-outcome=A") in out
+    assert Violation(ViolationKind.MISSING_TERMINAL_EVENT, "") in out
 
 
 def test_audit_flags_missing_terminal_event():
     lg = ledger([ev(EventKind.CW, 1.0, absorber="A", channel="R", weight=0.5)], NO_OUTCOME)
-    assert check_bilking(lg, CONTINGENT) == ["missing-terminal-event"]
+    assert check_bilking(lg, CONTINGENT) == [Violation(ViolationKind.MISSING_TERMINAL_EVENT, "")]
 
 
 def test_audit_flags_emitter_state_mismatch():
@@ -375,7 +379,7 @@ def test_audit_flags_emitter_state_mismatch():
     for emitter in ("OW(A,B)", "OW()"):
         lg = ledger(DIRECT_SUCCESS, "A", emitter=emitter)
         assert check_bilking(lg, CONTINGENT) == [
-            "emitter-state-mismatch:ledger-disagrees-with-cw-record"
+            Violation(ViolationKind.EMITTER_STATE_MISMATCH, "ledger-disagrees-with-cw-record")
         ]
 
 
@@ -389,18 +393,18 @@ def test_audit_flags_rule_index_out_of_range():
         ],
         "B",
     )
-    assert check_bilking(lg, CONTINGENT) == ["rule-index-out-of-range:3"]
+    assert check_bilking(lg, CONTINGENT) == [Violation(ViolationKind.RULE_INDEX_OUT_OF_RANGE, "3")]
 
 
 def test_a_compiled_leaf_rechecked_against_other_triggers_is_folded_afresh():
-    # Maudlin's B leaf holds the fold made with the rule's trigger, which is
-    # clean; against no triggers its placement names a rule that is not there.
+    # Maudlin's B leaf was audited against the rule's trigger and is clean;
+    # against no triggers its placement names a rule that is not there.
     spec = maudlin_spec()
     leaf = compile_program(spec, "sequential").leaves[1]
     lg = leaf.ledger
     stored = check_bilking(lg, tuple(r.trigger for r in spec.rules))
-    fresh = Audit(()).fold(lg.events).close().violations(lg.final_outcome, lg.emitter_state)
-    assert check_bilking(lg, ()) == fresh == ["rule-index-out-of-range:0"]
+    fresh = Audit(()).fold(lg.events).verdict(lg.final_outcome, lg.emitter_state)
+    assert check_bilking(lg, ()) == fresh == [Violation(ViolationKind.RULE_INDEX_OUT_OF_RANGE, "0")]
     assert stored == [] != fresh
 
 
@@ -413,7 +417,7 @@ def test_audit_flags_failure_without_confirmation():
         ],
         NO_OUTCOME,
     )
-    assert "failure-without-cw:B" in check_bilking(lg, CONTINGENT)
+    assert Violation(ViolationKind.FAILURE_WITHOUT_CW, "B") in check_bilking(lg, CONTINGENT)
 
 
 # -- property-based checks ----------------------------------------------------

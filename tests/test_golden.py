@@ -25,9 +25,11 @@ import pytest
 
 from tqsim import (
     AbsorberConfig,
+    Always,
     CoinConfig,
     CoinOutcome,
     ContingencyRule,
+    DivertChannel,
     ExperimentSpec,
     PlaceAbsorber,
     RunConfig,
@@ -151,8 +153,21 @@ def _hand_built():
         ],
         channels=("R", "M", "L"),
     )
+    # L is diverted from B to B2 while R and M stay live: the divert must
+    # remove B alone, and B2 absorbs before the absorber it replaces would.
+    divert_third = _layout(
+        [
+            AbsorberConfig("A", "R", at(5.0, 5.0)),
+            AbsorberConfig("B", "L", at(3.0, -3.0)),
+            AbsorberConfig("C", "M", at(4.0, 0.0)),
+            AbsorberConfig("B2", "L", at(2.0, -2.0), initially_present=False),
+        ],
+        [ContingencyRule(Always(), DivertChannel("L", "B2", at(2.0, -2.0)), 1.0)],
+        channels=("R", "L", "M"),
+    )
     return {
         "coin-rules": coin,
+        "divert-third": divert_third,
         "photon-pair": photons,
         "pair-then-place": pair_then_place,
         "triple": triple,
@@ -166,6 +181,7 @@ def _leaf_spec(name):
 # The (strategy, tie_break) pairs each hand-built layout is pinned under.
 HAND_BUILT_CASES = {
     "coin-rules": [("sequential", True)],
+    "divert-third": [("global-echo", True), ("hierarchy", True), ("sequential", True)],
     "photon-pair": [("global-echo", True), ("hierarchy", False), ("hierarchy", True), ("sequential", True)],
     "pair-then-place": [("sequential", True)],
     "triple": [("global-echo", True), ("hierarchy", True), ("sequential", True)],
@@ -190,6 +206,9 @@ LEAF_GOLDEN = {
     ("dce-remove", "global-echo", True): "e7c25e04115929fd8a737556b9f7dbe81659bae46e03e2a9e547d9e4089aa607",
     ("dce-remove", "hierarchy", True): "49fb132d642481478be24fe8add7f3a550bbc8f62352e206ea3511d978f70977",
     ("dce-remove", "sequential", True): "e7c25e04115929fd8a737556b9f7dbe81659bae46e03e2a9e547d9e4089aa607",
+    ("divert-third", "global-echo", True): "7fa09f083a2ceef2fdaa65dbccf3a983f13afca1cbc26cad96a031d9b0ee6cfa",
+    ("divert-third", "hierarchy", True): "1617e4a49cf0276934dad2405e6311758dbf21ea545bee17abc13d64e0f6a61d",
+    ("divert-third", "sequential", True): "36ff2c4681ea4a4a53a0d1697c65f682c48be57f081f3e51f9f743c2d3559d8c",
     ("maudlin", "sequential", True): "ccb50c986a2fbcc2689fe212852d8aad5eea1d0d8a27e84f44f110083931d8cd",
     ("miller", "sequential", True): "6a24f206950a54983d5c3bbd1593da1edd56c5ad662cd9b1457d13bbb736f36b",
     ("pair-then-place", "sequential", True): "f17b325a359ca2526860f5dc219ba533b0808f7705d1256c76014248dac3111c",
@@ -210,6 +229,7 @@ DOCUMENT_GOLDEN = {
     "dce-coinflip": "95a514773dbca173664df44c72af78d936c01320cf01970bd149a1d3b666587f",
     "dce-keep": "08f3f481a5f2494f194d8c24606ec795e0b01c70b4ad07844f30e160821d394f",
     "dce-remove": "b5026b2285c1615a24e0710c39acbcdfbd9360780a6644cd90c140d5a3845783",
+    "divert-third": "c129cdc4cf85ff1d3a1f4d03239931f779df4c5d9979f97034393472d06823a3",
     "maudlin": "bc8d385c5fabe15783401f25581339b175571be68bd4b5ec09856500dc1cf4b7",
     "miller": "87fb23cf6d71382b773f3cfdb5ddb461facea269872e992596a16e2d1f3441f7",
     "pair-then-place": "ae5f24d59af4468aeaee3f41383a898497e7fc66e3ed0f0f7225602910831b22",

@@ -46,6 +46,8 @@ from tqsim.engine import (
     StrategyError,
     TransactionFailed,
     TrialLedger,
+    Violation,
+    ViolationKind,
     check_bilking,
 )
 
@@ -127,7 +129,7 @@ def test_each_leaf_is_what_a_flat_read_of_its_record_gives(spec, strategy, tie_b
         flat = TrialLedger(events, leaf.ledger.emitter_state, leaf.ledger.final_outcome)
         verdict = flat_audit(flat, triggers)
         assert list(leaf.violations) == verdict
-        assert check_bilking(leaf.ledger, triggers) == verdict  # the fold's findings
+        assert check_bilking(leaf.ledger, triggers) == verdict  # the linked record folded afresh
         assert check_bilking(flat, triggers) == verdict  # the tuple folded afresh
         coin, conditions, label, error = flat_fields(spec, events)
         assert (leaf.coin_outcome, leaf.conditions, leaf.ledger.emitter_state) == (coin, conditions, label)
@@ -139,7 +141,8 @@ def test_a_resolution_repeated_within_a_group_is_flagged(strategy):
     # Under the fixed strategies A's two answers compete in one group, so a
     # winner's record holds the failure of the other A.
     compiled = grow(reused_id_spec(), strategy)
-    assert ("duplicate-resolution:A",) in {leaf.violations for leaf in compiled.leaves}
+    duplicate = (Violation(ViolationKind.DUPLICATE_RESOLUTION, "A"),)
+    assert duplicate in {leaf.violations for leaf in compiled.leaves}
     with pytest.raises(ValueError, match="^rule 0 re-places absorber 'A' that starts present$"):
         program.compile_program.__wrapped__(reused_id_spec(), strategy, True)
 
@@ -194,7 +197,8 @@ def test_a_winner_whose_record_holds_its_own_failure_is_flagged(
         program.compile_program.cache_clear()
     capsys.readouterr()
     assert len(compiled.leaves) == leaves
-    assert all(f"duplicate-resolution:{leaf.outcome}" in leaf.violations for leaf in compiled.leaves)
+    duplicate = ViolationKind.DUPLICATE_RESOLUTION
+    assert all(Violation(duplicate, leaf.outcome) in leaf.violations for leaf in compiled.leaves)
     assert not report.clean()
     assert code == 2
 
@@ -257,13 +261,16 @@ def previous_leaf_label(monkeypatch):
 
 
 def kinds(leaf):
-    return {v.split(":")[0] for v in leaf.violations}
+    return {v.kind for v in leaf.violations}
 
 
 def unconfirmed(leaf):
     """What a record with no confirmation shows: each failure is of an
     absorber that never answered, and a winner is not in the emitter label."""
-    shown = {EventKind.FAILURE: "failure-without-cw", EventKind.SUCCESS: "outcome-mismatch"}
+    shown = {
+        EventKind.FAILURE: ViolationKind.FAILURE_WITHOUT_CW,
+        EventKind.SUCCESS: ViolationKind.OUTCOME_MISMATCH,
+    }
     return {shown[e.kind] for e in leaf.ledger.events if e.kind in shown}
 
 
@@ -273,14 +280,14 @@ def unconfirmed(leaf):
         # The rule removes the screen on the coin's "up" face alone; made due
         # on both faces, it is flagged where the coin showed "down".
         (rules_due_early, "dce-coinflip", "sequential", 4,
-         lambda leaf: {"placement-without-prior-trigger"} if leaf.coin_outcome == "down" else set()),
-        (terminal_dropped, "dce-keep", "hierarchy", 1, lambda leaf: {"missing-terminal-event"}),
+         lambda leaf: {ViolationKind.PLACEMENT_WITHOUT_PRIOR_TRIGGER} if leaf.coin_outcome == "down" else set()),
+        (terminal_dropped, "dce-keep", "hierarchy", 1, lambda leaf: {ViolationKind.MISSING_TERMINAL_EVENT}),
         # With no confirmation on the record the builder also sees no weight
         # offered, so maudlin grows a third leaf, on which B fails too.
         (confirmations_dropped, "maudlin", "sequential", 3, unconfirmed),
         (confirmations_dropped, "dce-keep", "sequential", 201, unconfirmed),
         (previous_leaf_label, "maudlin", "sequential", 2,
-         lambda leaf: {"emitter-state-mismatch"} if leaf.index else set()),
+         lambda leaf: {ViolationKind.EMITTER_STATE_MISMATCH} if leaf.index else set()),
     ],
     ids=["rule-due-early", "terminal-dropped", "cw-dropped-maudlin", "cw-dropped-dce-keep", "previous-label"],
 )
@@ -381,7 +388,9 @@ events = st.builds(
 def test_the_fold_reports_what_the_flat_read_reports(record, triggers, outcome, emitter, cut):
     triggers = tuple(triggers)
     expected = flat_audit(TrialLedger(tuple(record), emitter, outcome), triggers)
-    assert check_bilking(TrialLedger(tuple(record), emitter, outcome), triggers) == expected
+    found = check_bilking(TrialLedger(tuple(record), emitter, outcome), triggers)
+    assert found == expected
+    assert all(type(v.kind) is ViolationKind and type(v.detail) is str for v in found)
     # The same events as a two-segment record, which no builder folded.
     linked = Record(Record(None, tuple(record[:cut])), tuple(record[cut:]))
     assert check_bilking(TrialLedger(linked, emitter, outcome), triggers) == expected
@@ -402,7 +411,7 @@ def test_a_long_record_is_audited_in_one_pass(placed_after):
     ledger = TrialLedger(tuple(record) + (terminal,), "OW(A)", "none")
     triggers = (TransactionFailed("A", 1.0),)
     expected = [] if placed_after else [
-        f"placement-without-prior-trigger:rule0@t={2.0 + k}" for k in range(20_000)
+        Violation(ViolationKind.PLACEMENT_WITHOUT_PRIOR_TRIGGER, f"rule0@t={2.0 + k}") for k in range(20_000)
     ]
     assert flat_audit(ledger, triggers) == expected
     assert check_bilking(ledger, triggers) == expected

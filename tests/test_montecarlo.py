@@ -36,7 +36,7 @@ from tqsim import (
     visibility,
 )
 from tqsim import cli, montecarlo, program
-from tqsim.engine import is_mismatch
+from tqsim.engine import Violation, ViolationKind as Kind
 from tqsim.montecarlo import COUNT_CUTS_MAX, classify_counts
 from tqsim.program import Leaf, Node, TrialProgram
 
@@ -372,20 +372,22 @@ def test_coinflip_histogram_only_counts_kept_screen_trials():
 @pytest.mark.parametrize(
     "flags",
     [
-        {"A": ["outcome-mismatch:recorded=A,won=B"]},
-        {"B": ["placement-without-prior-trigger:rule0@t=2.0"]},
-        {"A": ["emitter-state-mismatch:test", "multiple-success"]},
-        {"A": ["outcome-mismatch:test"], "B": ["duplicate-resolution:B"]},
+        {"A": [Violation(Kind.OUTCOME_MISMATCH, "recorded=A,won=B")]},
+        {"B": [Violation(Kind.PLACEMENT_WITHOUT_PRIOR_TRIGGER, "rule0@t=2.0")]},
+        {"A": [Violation(Kind.EMITTER_STATE_MISMATCH, "test"), Violation(Kind.MULTIPLE_SUCCESS)]},
+        {"A": [Violation(Kind.OUTCOME_MISMATCH, "test")], "B": [Violation(Kind.DUPLICATE_RESOLUTION, "B")]},
+        {"A": [Violation(Kind.RULE_INDEX_OUT_OF_RANGE, "3")], "B": [Violation(Kind.MISSING_TERMINAL_EVENT)]},
+        {"B": [Violation(Kind.FAILURE_WITHOUT_CW, "A"), Violation(Kind.EMITTER_STATE_MISMATCH, "test")]},
     ],
-    ids=["mismatch", "bilking", "both-on-one-leaf", "one-each"],
+    ids=["mismatch", "bilking", "both-on-one-leaf", "one-each", "bilking-on-each", "both-on-the-other-leaf"],
 )
 def test_audit_counts_the_trials_on_flagged_leaves(monkeypatch, capsys, flags):
     # Leaves are audited once, at compile time, so the cache must not hand
     # back clean leaves compiled earlier, nor keep the flagged ones.
     original = program.check_bilking
 
-    def flagged(ledger, triggers=()):
-        return original(ledger, triggers) + flags.get(ledger.final_outcome, [])
+    def flagged(ledger, *args):
+        return original(ledger, *args) + flags.get(ledger.final_outcome, [])
 
     monkeypatch.setattr(program, "check_bilking", flagged)
     program.compile_program.cache_clear()
@@ -396,11 +398,15 @@ def test_audit_counts_the_trials_on_flagged_leaves(monkeypatch, capsys, flags):
         program.compile_program.cache_clear()
     capsys.readouterr()
 
-    def trials_flagged(kind):
-        return sum(table.counts[o] for o, found in flags.items() if any(map(kind, found)))
+    # The two kinds that say the ledger disagrees with its record; any other
+    # kind is a bilking violation.
+    mismatches = {"outcome-mismatch", "emitter-state-mismatch"}
 
-    assert report.emitter_state_outcome_mismatches == trials_flagged(is_mismatch)
-    assert report.bilking_violations == trials_flagged(lambda v: not is_mismatch(v))
+    def trials_flagged(counted):
+        return sum(table.counts[o] for o, found in flags.items() if any(counted(v.kind) for v in found))
+
+    assert report.emitter_state_outcome_mismatches == trials_flagged(lambda kind: kind in mismatches)
+    assert report.bilking_violations == trials_flagged(lambda kind: kind not in mismatches)
     assert not report.clean()
     assert code == 2
 
